@@ -13,7 +13,7 @@ hsw         collective-readout bound along the max-entropy locus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -247,13 +247,7 @@ def nonsymmetric_search(
             continue
         accepted += 1
         ensemble = conditioned_ancilla_from_state(rho)
-        cfg = OptimizerConfig(
-            restarts=base_cfg.restarts,
-            max_iterations=base_cfg.max_iterations,
-            step_tolerance=base_cfg.step_tolerance,
-            seed=int(rng.integers(2**63)),
-            outcome_budget=base_cfg.outcome_budget,
-        )
+        cfg = replace(base_cfg, seed=int(rng.integers(2**63)))
         result = optimize_povm(ensemble, cfg)
         if result.info > best_value:
             best_value = result.info

@@ -299,6 +299,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--epsilon must be in (0, 1]")
         if args.trials < 1:
             parser.error("--trials must be >= 1")
+        if args.max_iterations < 1:
+            parser.error("--max-iterations must be >= 1")
+    if args.subcommand in ("povm-check", "search-nonsym") and args.restarts < 1:
+        parser.error("--restarts must be >= 1")
     try:
         return args.func(args)
     except (OutOfRange, NotPositive, InfeasiblePoint) as exc:

@@ -163,7 +163,14 @@ def canonical_optimal_povm(point: FamilyPoint) -> Povm:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the numerical search; defaults suit four-state ensembles."""
+    """Knobs for the numerical search; defaults suit four-state ensembles.
+
+    A restart stops after ten consecutive steps that each gained less than
+    ``step_tolerance`` (finite, >= 0), or after ``max_iterations`` (>= 1)
+    steps.  The default budget of 16 outcome kets suffices for the
+    4-dimensional ancilla: rank-one POVMs with at most d² outcomes attain
+    the accessible information (Davies, IEEE TIT 24, 596, 1978).
+    """
 
     restarts: int = 8
     max_iterations: int = 500
@@ -213,31 +220,46 @@ def _kets_from_povm(m: Povm, n: int, d: int) -> np.ndarray:
 
 
 def _retract(kets: np.ndarray) -> np.ndarray:
-    """Rescale ket batches so each batch's dyads sum to the identity."""
-    grams = np.einsum("rki,rkj->rij", kets, kets.conj())
+    """Rescale ket batches so each batch's dyads sum to the identity.
+
+    Polar retraction k -> G^{-1/2} k, with G the sum of the dyads: the
+    nearest complete set of kets.  A Cholesky or QR factor in place of
+    G^{-1/2} would also rotate the whole measurement by a unitary.
+    """
+    grams = kets.swapaxes(1, 2) @ kets.conj()
     lam, vec = np.linalg.eigh(grams)
-    inv_sqrt = np.einsum(
-        "rij,rj,rkj->rik", vec, 1.0 / np.sqrt(np.clip(lam, 1e-14, None)), vec.conj()
-    )
-    return np.einsum("rij,rkj->rki", inv_sqrt, kets)
+    scaled = vec / np.sqrt(np.clip(lam, 1e-14, None))[:, None, :]
+    inv_sqrt = scaled @ vec.conj().swapaxes(1, 2)
+    return kets @ inv_sqrt.swapaxes(1, 2)
 
 
 def _batch_info_and_ratios(
-    kets: np.ndarray, states: np.ndarray, priors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-restart accessible information and log-likelihood-ratio table."""
-    cond = np.einsum("rki,aij,rkj->rak", kets.conj(), states, kets).real
-    cond = np.clip(cond, 0.0, None)
-    joint = priors[None, :, None] * cond
-    outcome = joint.sum(axis=1)  # (R, K)
+    kets: np.ndarray, states_cols: np.ndarray, priors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-restart accessible information, log-likelihood ratios and S·k.
+
+    ``states_cols`` holds the A states of dimension d side by side as a
+    (d, A·d) matrix, so one product gives every S_a·k of the batch, laid out
+    as (R, K, A, d).  The ratios are laid out as (R, K, A).
+    """
+    r, n, d = kets.shape
+    sk = (kets.reshape(r * n, d) @ states_cols).reshape(r, n, -1, d)
+    cond = np.clip(np.einsum("rki,rkai->rka", kets.conj(), sk).real, 0.0, None)
+    joint = priors * cond
+    outcome = joint.sum(axis=2)  # (R, K)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(
             joint > 0.0,
-            np.log2(cond) - np.log2(outcome[:, None, :]),
+            np.log2(cond) - np.log2(outcome[:, :, None]),
             0.0,
         )
     values = (joint * ratios).sum(axis=(1, 2))
-    return values, ratios
+    return values, ratios, sk
+
+
+def _gradient(priors: np.ndarray, ratios: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """Ascent direction Σ_a p_a·ratio_a·S_a·k for every ket of the batch."""
+    return ((priors * ratios)[:, :, None, :] @ sk)[:, :, 0, :]
 
 
 def _ascend(
@@ -249,40 +271,50 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Monotone projected gradient ascent on a batch of ket sets.
 
-    Returns the best kets and value seen per batch entry plus the number
-    of iterations spent.  Step sizes adapt by accept/reject, so recorded
-    values never decrease.
+    Step sizes adapt by accept/reject, so each entry's value never
+    decreases.  An entry leaves the batch once ten consecutive steps gained
+    less than ``step_tolerance``.  Returns the final kets and value per
+    entry plus the number of iterations spent.
     """
-    values, ratios = _batch_info_and_ratios(kets, states, priors)
-    best_values = values.copy()
-    best_kets = kets.copy()
+    a, _, d = states.shape
+    states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
+    values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
+    final_kets = np.empty_like(kets)
+    final_values = np.empty_like(values)
+    live = np.arange(kets.shape[0])
     eta = np.full(kets.shape[0], 0.25)
     stalled = np.zeros(kets.shape[0], dtype=int)
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        grad = np.einsum(
-            "rak,aij,rkj->rki", priors[None, :, None] * ratios, states, kets
+        trial = _retract(kets + eta[:, None, None] * _gradient(priors, ratios, sk))
+        trial_values, trial_ratios, trial_sk = _batch_info_and_ratios(
+            trial, states_cols, priors
         )
-        trial = _retract(kets + eta[:, None, None] * grad)
-        trial_values, trial_ratios = _batch_info_and_ratios(trial, states, priors)
 
         improved = trial_values > values + 1e-15
         gain = np.where(improved, trial_values - values, 0.0)
         kets[improved] = trial[improved]
         values[improved] = trial_values[improved]
         ratios[improved] = trial_ratios[improved]
+        sk[improved] = trial_sk[improved]
         eta = np.where(improved, np.minimum(eta * 1.5, 64.0), eta * 0.5)
 
-        record = values > best_values
-        best_values[record] = values[record]
-        best_kets[record] = kets[record]
-
         stalled = np.where(gain < step_tolerance, stalled + 1, 0)
-        if np.all(stalled >= 10):
-            break
+        done = stalled >= 10
+        if done.any():
+            final_kets[live[done]] = kets[done]
+            final_values[live[done]] = values[done]
+            keep = ~done
+            live, kets, values, ratios, sk, eta, stalled = (
+                x[keep] for x in (live, kets, values, ratios, sk, eta, stalled)
+            )
+            if live.size == 0:
+                break
 
-    return best_kets, best_values, iterations
+    final_kets[live] = kets
+    final_values[live] = values
+    return final_kets, final_values, iterations
 
 
 def optimize_povm(
@@ -296,15 +328,22 @@ def optimize_povm(
     likelihood table and its log-ratio ranking matrices; (b) push every
     outcome ket along its ranked ascent direction and restore completeness
     by inverse-square-root rescaling.  Restarts run batched from seeds
-    derived from (seed, restart index) and results merge by max, so the
-    outcome is schedule-independent and deterministic; the winning restart
-    gets a second, solo ascent to polish the value.
+    derived from (seed, restart index), and each leaves the batch as soon
+    as it stalls (ten consecutive gains below ``step_tolerance``); results
+    merge by max, so the outcome is schedule-independent and deterministic.
+    The winning restart gets a second, solo ascent to polish the value.
 
     Extra starting measurements (e.g. the analytic optimum) can be passed
     via ``seed_povms``; the search then returns at least their value.
     """
     if cfg.restarts < 1:
         raise OutOfRange("restarts must be >= 1")
+    if cfg.max_iterations < 1:
+        raise OutOfRange(f"max_iterations={cfg.max_iterations} must be >= 1")
+    if not np.isfinite(cfg.step_tolerance) or cfg.step_tolerance < 0:
+        raise OutOfRange(
+            f"step_tolerance={cfg.step_tolerance} must be finite and >= 0"
+        )
     states = np.stack(ensemble.states).astype(complex)
     priors = np.asarray(ensemble.priors, dtype=float)
     d = states.shape[-1]
@@ -317,27 +356,25 @@ def optimize_povm(
     starts.extend(_kets_from_povm(m, n, d) for m in seed_povms)
     kets = _retract(np.stack(starts))
 
-    best_kets, best_values, iterations = _ascend(
+    kets, values, iterations = _ascend(
         kets, states, priors, cfg.max_iterations, cfg.step_tolerance
     )
-    winner = int(np.argmax(best_values))
+    winner = int(np.argmax(values))
     polished, polished_values, extra = _ascend(
-        best_kets[winner : winner + 1].copy(),
+        kets[winner : winner + 1].copy(),
         states,
         priors,
         cfg.max_iterations,
         cfg.step_tolerance,
     )
-    if polished_values[0] > best_values[winner]:
-        best_values[winner] = polished_values[0]
-        best_kets[winner] = polished[0]
+    values[winner] = polished_values[0]
+    kets[winner] = polished[0]
 
-    final = best_kets[winner]
-    elements = tuple(np.outer(k, k.conj()) for k in final)
+    elements = tuple(np.outer(k, k.conj()) for k in kets[winner])
     povm = Povm(elements=elements, labels=tuple(f"k{i}" for i in range(n)))
     return OptimizeResult(
         povm=povm,
-        info=float(best_values[winner]),
-        restart_values=tuple(float(v) for v in best_values),
+        info=float(values[winner]),
+        restart_values=tuple(float(v) for v in values),
         iterations=iterations + extra,
     )

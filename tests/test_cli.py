@@ -121,6 +121,13 @@ def test_povm_check_optimize(capsys):
     assert checks["optimizer_gap"] <= 1e-5
 
 
+def test_povm_check_bad_restarts_exit_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
+              "--optimize", "--restarts", "0"])
+    assert err.value.code == 2
+
+
 def test_search_nonsym_report_and_determinism(capsys):
     args = ["search-nonsym", "--epsilon", "0.25", "--trials", "8", "--seed", "42"]
     code, out, _ = run_cli(capsys, *args)
@@ -145,6 +152,9 @@ def test_search_nonsym_bad_flags_exit_two(capsys):
     for argv in (
         ["search-nonsym", "--epsilon", "0", "--trials", "5"],
         ["search-nonsym", "--epsilon", "0.3", "--trials", "0"],
+        ["search-nonsym", "--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
+        ["search-nonsym", "--epsilon", "0.25", "--trials", "2",
+         "--max-iterations", "-5"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -18,6 +18,7 @@ from bb84eve import (
     validate_povm,
 )
 from bb84eve.errors import DimensionMismatch, InfeasiblePoint, OutOfRange
+from bb84eve.povm import _batch_info_and_ratios, _gradient, _retract
 from bb84eve.states import ZERO_WEIGHT, bell_weights
 from conftest import random_feasible_point
 
@@ -218,6 +219,14 @@ def test_optimizer_config_validation():
         optimize_povm(ens, OptimizerConfig(restarts=0))
     with pytest.raises(OutOfRange):
         optimize_povm(ens, OptimizerConfig(outcome_budget=2))
+    # a cap below 1 would return the unoptimized start
+    for bad in (0, -5):
+        with pytest.raises(OutOfRange):
+            optimize_povm(ens, OptimizerConfig(max_iterations=bad))
+    # a NaN tolerance would never stall
+    for bad in (float("nan"), float("inf"), -1e-10):
+        with pytest.raises(OutOfRange):
+            optimize_povm(ens, OptimizerConfig(step_tolerance=bad))
 
 
 def test_optimized_povm_is_valid_and_below_collective_bound(rng):
@@ -227,3 +236,33 @@ def test_optimized_povm_is_valid_and_below_collective_bound(rng):
     validate_povm(res.povm)
     assert abs(accessible_info(ens, res.povm) - res.info) <= 1e-12
     assert res.info <= hsw_bound(ens) + 1e-9
+
+
+def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
+    """The batched value, ratios and S·k kernel against independent forms."""
+    r, n, d = 5, 16, 4
+    kets = rng.normal(size=(r, n, d)) + 1j * rng.normal(size=(r, n, d))
+    kets = _retract(kets)
+    dyads = np.einsum("rki,rkj->rkij", kets, kets.conj())
+    assert np.max(np.abs(dyads.sum(axis=1) - np.eye(d))) <= 1e-12
+
+    for _ in range(4):
+        ens = conditioned_ancilla(random_feasible_point(rng))
+        states = np.stack(ens.states).astype(complex)
+        priors = np.asarray(ens.priors)
+        states_cols = states.transpose(2, 0, 1).reshape(d, -1)
+        values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
+
+        for v, restart in zip(values, dyads):
+            m = Povm(elements=tuple(restart), labels=tuple(map(str, range(n))))
+            assert abs(v - accessible_info(ens, m)) <= 1e-12
+
+        cond = np.einsum("rki,aij,rkj->rak", kets.conj(), states, kets).real
+        joint = priors[None, :, None] * np.clip(cond, 0.0, None)
+        outcome = joint.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(joint > 0, np.log2(cond) - np.log2(outcome), 0.0)
+        reference = np.einsum(
+            "rak,aij,rkj->rki", priors[None, :, None] * want, states, kets
+        )
+        assert np.max(np.abs(_gradient(priors, ratios, sk) - reference)) <= 1e-12
