@@ -12,6 +12,7 @@ from .analysis import (
     ThresholdResult,
     eve_curve,
     find_threshold,
+    key_rate,
     max_entropy_c22,
     nonsymmetric_search,
     scan_curves,
@@ -24,7 +25,6 @@ from .infotheory import (
     entanglement_numbers,
     hsw_bound,
     hsw_optimal,
-    key_rate,
     mi_alice_bob,
     mi_eve_analytic,
     mi_eve_optimal,

@@ -9,15 +9,18 @@ maxent      c22 = -(1-ε)², the entropy-maximizing state
 minconc     feasibility-clipped minimizer of |c22| (best raw-data attack)
 hsw         collective-readout bound along the max-entropy locus
 ==========  =====================================================
+
+The first three are c22 rules (``C22_RULES``); ``hsw`` has its own functional.
+``max_entropy_c22`` checks the maxent rule numerically with Brent's search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NoFeasibleSample, NoSignChange, NotPositive, OutOfRange
 from .infotheory import (
@@ -38,29 +41,12 @@ from .states import (
 
 MAX_BISECTIONS = 64
 
-
-@dataclass(frozen=True)
-class CurveId:
-    """A named c22 rule; ``hsw`` swaps in the collective-readout functional."""
-
-    tag: str
-    c22_rule: Callable[[float], float]
-
-
-def _honest_c22(epsilon: float) -> float:
-    return -(1 - epsilon)
-
-
-def _maxent_c22(epsilon: float) -> float:
-    return -((1 - epsilon) ** 2)
-
-
-CURVES = {
-    "honest": CurveId("honest", _honest_c22),
-    "maxent": CurveId("maxent", _maxent_c22),
-    "minconc": CurveId("minconc", optimal_c22),
-    "hsw": CurveId("hsw", _maxent_c22),
+C22_RULES: dict[str, Callable[[float], float]] = {
+    "honest": lambda epsilon: -(1 - epsilon),
+    "maxent": lambda epsilon: -((1 - epsilon) ** 2),
+    "minconc": optimal_c22,
 }
+CURVES = (*C22_RULES, "hsw")
 
 
 def eve_curve(curve: str, epsilon: float) -> float:
@@ -71,7 +57,15 @@ def eve_curve(curve: str, epsilon: float) -> float:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1/2]")
     if curve == "hsw":
         return hsw_optimal(epsilon)
-    return mi_eve_analytic(CURVES[curve].c22_rule(epsilon))
+    return mi_eve_analytic(C22_RULES[curve](epsilon))
+
+
+def key_rate(epsilon: float, curve: str) -> float:
+    """Distillable key rate I_AB - I_AE along a named curve; may be negative.
+
+    The sign change of this quantity locates the security threshold.
+    """
+    return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
 
 
 @dataclass(frozen=True)
@@ -124,33 +118,75 @@ def bisect_sign_change(
 
 def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
     """Noise value where Alice-Bob information crosses Eve's curve."""
-    if tolerance < 1e-12:
-        raise OutOfRange(f"tolerance={tolerance} below 1e-12")
-
-    def gap(epsilon: float) -> float:
-        return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
-
-    root, residual, iterations = bisect_sign_change(gap, 0.0, 0.5, tolerance)
+    if not 1e-12 <= tolerance <= 1e-3:
+        raise OutOfRange(f"tolerance={tolerance} outside [1e-12, 1e-3]")
+    root, residual, iterations = bisect_sign_change(
+        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
+    )
     return ThresholdResult(
         curve=curve, epsilon_star=root, residual=residual, iterations=iterations
     )
 
 
+_GOLDEN = (3 - math.sqrt(5)) / 2
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _brent_argmax(
+    f: Callable[[float], float], a: float, b: float, tolerance: float = 1e-8
+) -> float:
+    """Maximizer of a unimodal ``f`` on [a, b] by Brent's method: parabolic
+    steps with a golden-section fallback (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5), to within √eps·|x| + ``tolerance``.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tolerance / 3
+        if abs(x - m) <= 2 * tol1 - 0.5 * (b - a):
+            return x
+        p = q = r = 0.0
+        if abs(e) > tol1:  # parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2 * tol1 or b - x - d < 2 * tol1:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def max_entropy_c22(epsilon: float) -> float:
-    """Numerically maximize the state entropy over the feasible c22 interval."""
+    """Numerically maximize the state entropy (concave in c22) over the feasible c22."""
     if not 0.0 <= epsilon <= 1.0:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
     lo, hi = -1.0, 2 * epsilon - 1
     if hi - lo < 1e-9:
         return -1.0
 
-    def neg_entropy(c22: float) -> float:
-        return -von_neumann_entropy(bell_diagonal_state(FamilyPoint(epsilon, c22)))
+    def entropy(c22: float) -> float:
+        return von_neumann_entropy(bell_diagonal_state(FamilyPoint(epsilon, c22)))
 
-    res = minimize_scalar(
-        neg_entropy, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-    )
-    return float(res.x)
+    return _brent_argmax(entropy, lo, hi)
 
 
 class ScanRow(NamedTuple):

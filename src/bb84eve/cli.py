@@ -13,8 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,24 +21,7 @@ from . import analysis, infotheory, povm as povm_mod, states
 from .errors import InfeasiblePoint, NoSignChange, NotPositive, OutOfRange
 
 SCHEMA_VERSION = "1"
-
-
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict[str, Any]
-    rows: list[dict[str, Any]]
-    provenance: dict[str, Any] = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "provenance": self.provenance,
-        }
+MAX_SCAN_POINTS = 10**6
 
 
 def _round12(obj):
@@ -57,9 +39,13 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(record: OutputRecord, out: str | None) -> None:
-    text = json.dumps(_round12(record.as_dict()), indent=2) + "\n"
-    _write(text, out)
+def _emit_json(out, command, parameters, rows, provenance) -> None:
+    """Write one output record; ``schema_version`` stays its first key."""
+    record = dict(
+        schema_version=SCHEMA_VERSION, command=command, parameters=parameters,
+        rows=rows, provenance=provenance,
+    )
+    _write(json.dumps(_round12(record), indent=2) + "\n", out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -73,28 +59,21 @@ def _write(text: str, out: str | None) -> None:
 def cmd_thresholds(args) -> int:
     curves = list(analysis.CURVES) if args.all else [args.curve]
     rows = []
-    try:
-        for curve in curves:
-            res = analysis.find_threshold(curve, tolerance=args.tol)
-            rows.append(
-                {
-                    "curve": res.curve,
-                    "epsilon_star": res.epsilon_star,
-                    "qber": res.qber,
-                    "residual": res.residual,
-                    "iterations": res.iterations,
-                }
-            )
-    except NoSignChange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    record = OutputRecord(
-        command="thresholds",
-        parameters={"curves": curves, "tol": args.tol},
-        rows=rows,
-        provenance={"tolerance": args.tol},
+    for curve in curves:
+        res = analysis.find_threshold(curve, tolerance=args.tol)
+        rows.append(
+            {
+                "curve": res.curve,
+                "epsilon_star": res.epsilon_star,
+                "qber": res.qber,
+                "residual": res.residual,
+                "iterations": res.iterations,
+            }
+        )
+    _emit_json(
+        args.out, "thresholds", {"curves": curves, "tol": args.tol}, rows,
+        {"tolerance": args.tol},
     )
-    _emit_json(record, args.out)
     return 0
 
 
@@ -129,15 +108,11 @@ def cmd_scan(args) -> int:
 
 def cmd_table(args) -> int:
     c22 = args.c22 if args.c22 is not None else infotheory.optimal_c22(args.epsilon)
-    try:
-        point = states.FamilyPoint(args.epsilon, c22)
-        analytic = states.joint_table(states.bell_diagonal_state(point))
-        empirical = None
-        if args.simulate:
-            empirical = states.simulate_raw_data(point, args.simulate, args.seed)
-    except (InfeasiblePoint, OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    point = states.FamilyPoint(args.epsilon, c22)
+    analytic = states.joint_table(states.bell_diagonal_state(point))
+    empirical = None
+    if args.simulate:
+        empirical = states.simulate_raw_data(point, args.simulate, args.seed)
     rows = []
     for b, bob in enumerate(states.OUTCOMES):
         for a, alice in enumerate(states.OUTCOMES):
@@ -149,25 +124,18 @@ def cmd_table(args) -> int:
                 row["empirical"] = empirical[b, a]
                 row["z"] = dev / sigma if sigma > 0 else (0.0 if dev == 0 else np.inf)
             rows.append(row)
-    record = OutputRecord(
-        command="table",
-        parameters={"epsilon": args.epsilon, "c22": c22, "simulate": args.simulate},
-        rows=rows,
-        provenance={"seed": args.seed if args.simulate else None},
+    _emit_json(
+        args.out, "table",
+        {"epsilon": args.epsilon, "c22": c22, "simulate": args.simulate}, rows,
+        {"seed": args.seed if args.simulate else None},
     )
-    _emit_json(record, args.out)
     return 0
 
 
 def cmd_povm_check(args) -> int:
-    try:
-        point = states.FamilyPoint(args.epsilon, args.c22)
-        measurement = povm_mod.analytic_povm(point)
-        ensemble = states.conditioned_ancilla(point)
-    except InfeasiblePoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    point = states.FamilyPoint(args.epsilon, args.c22)
+    measurement = povm_mod.analytic_povm(point)
+    ensemble = states.conditioned_ancilla(point)
     alive = states.bell_weights(point) > states.ZERO_WEIGHT
     support = np.diag(alive.astype(float))
     completeness = float(np.max(np.abs(measurement.total().real - support)))
@@ -194,17 +162,14 @@ def cmd_povm_check(args) -> int:
         result = povm_mod.optimize_povm(ensemble, cfg)
         rows.append({"check": "optimizer_best", "value": result.info})
         rows.append({"check": "optimizer_gap", "value": abs(result.info - formula)})
-    record = OutputRecord(
-        command="povm-check",
-        parameters={"epsilon": args.epsilon, "c22": args.c22},
-        rows=rows,
-        provenance={
+    _emit_json(
+        args.out, "povm-check", {"epsilon": args.epsilon, "c22": args.c22}, rows,
+        {
             "optimize": bool(args.optimize),
             "restarts": args.restarts if args.optimize else None,
             "seed": args.seed if args.optimize else None,
         },
     )
-    _emit_json(record, args.out)
     return 0
 
 
@@ -220,13 +185,10 @@ def cmd_search_nonsym(args) -> int:
     data = asdict(report)
     data["best_parameters"] = list(report.best_parameters)
     data["exceeds_symmetric_by"] = report.best_value - report.symmetric_optimum
-    record = OutputRecord(
-        command="search-nonsym",
-        parameters={"epsilon": args.epsilon, "trials": args.trials},
-        rows=[data],
-        provenance={"seed": args.seed, "restarts": args.restarts},
+    _emit_json(
+        args.out, "search-nonsym", {"epsilon": args.epsilon, "trials": args.trials},
+        [data], {"seed": args.seed, "restarts": args.restarts},
     )
-    _emit_json(record, args.out)
     return 0
 
 
@@ -292,8 +254,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "scan":
-        if not (0 <= args.start < args.stop <= 0.5) or args.step <= 0:
-            parser.error("scan grid must satisfy 0 <= start < stop <= 0.5, step > 0")
+        ok = 0 <= args.start < args.stop <= 0.5 and 0 < args.step < np.inf
+        if not ok or (args.stop - args.start) / args.step > MAX_SCAN_POINTS - 1:
+            parser.error(
+                "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "
+                f"at most {MAX_SCAN_POINTS} points"
+            )
     if args.subcommand == "search-nonsym":
         if not 0 < args.epsilon <= 1:
             parser.error("--epsilon must be in (0, 1]")
@@ -305,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--restarts must be >= 1")
     try:
         return args.func(args)
-    except (OutOfRange, NotPositive, InfeasiblePoint) as exc:
+    except (OutOfRange, NotPositive, InfeasiblePoint, NoSignChange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

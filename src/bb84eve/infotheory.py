@@ -146,19 +146,3 @@ def concurrence(rho: np.ndarray) -> float:
     s = np.linalg.svd(sqrt_rho.T @ yy @ sqrt_rho, compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
-
-ATTACKS = ("raw-analytic", "hsw")
-
-
-def key_rate(epsilon: float, attack: str) -> float:
-    """Distillable key rate I_AB - I_AE for the chosen attack; may be negative.
-
-    The sign change of this quantity locates the security threshold.
-    """
-    if attack == "raw-analytic":
-        eve = mi_eve_optimal(epsilon)
-    elif attack == "hsw":
-        eve = hsw_optimal(epsilon)
-    else:
-        raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
-    return mi_alice_bob(epsilon) - eve

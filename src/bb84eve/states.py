@@ -20,6 +20,7 @@ OUTCOMES = ("z+", "z-", "x+", "x-")
 FEASIBILITY_SLACK = 1e-12
 ZERO_WEIGHT = 1e-12
 NEGATIVE_EIG = 1e-10
+MARGINAL_SLACK = 1e-9
 
 _BELL = bell_basis()
 
@@ -237,15 +238,19 @@ def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
     """Conditioned ancilla ensemble for an arbitrary two-qubit state.
 
     Projects Alice's outcome kets onto the purification and traces out Bob.
-    Alice's marginal gives probability 1/2 for every outcome within its
-    basis, so the four states again carry prior 1/4 each.
+    The four states carry prior 1/4 each, which holds only when Alice's z
+    and x marginals give probability 1/2 to every outcome, as on the
+    tomographic family; ``OutOfRange`` is raised for any other ρ.
     """
     psi = purify_state(rho).reshape(2, 2, 4)  # (A, B, E)
     states = []
-    for ket in outcome_kets():
+    for label, ket in zip(OUTCOMES, outcome_kets()):
         v = np.einsum("i,ibe->be", ket.conj(), psi)  # (B, E)
         cond = v.T @ v.conj()  # sum over Bob of |v_b><v_b| on E
-        states.append(cond / np.trace(cond).real)
+        p = np.trace(cond).real  # Alice's probability of this outcome
+        if not abs(p - 0.5) <= MARGINAL_SLACK:
+            raise OutOfRange(f"Alice's {label} probability {p:.6g} is not 1/2")
+        states.append(cond / p)
     return AncillaEnsemble(states=tuple(states))
 
 

@@ -15,7 +15,7 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
-from bb84eve.analysis import bisect_sign_change
+from bb84eve.analysis import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
 
 EXPECTED_THRESHOLDS = {
@@ -38,9 +38,10 @@ def test_eve_curve_values():
 
 
 def test_curve_rules_stay_feasible():
-    for curve in CURVES.values():
+    assert CURVES == (*C22_RULES, "hsw")
+    for rule in C22_RULES.values():
         for eps in np.linspace(0, 0.5, 101):
-            c22 = curve.c22_rule(float(eps))
+            c22 = rule(float(eps))
             assert -1 - 1e-12 <= c22 <= 2 * eps - 1 + 1e-12
 
 
@@ -71,8 +72,11 @@ def test_find_threshold_deterministic_and_validated():
     a = find_threshold("honest", 1e-9)
     b = find_threshold("honest", 1e-9)
     assert a == b
-    with pytest.raises(OutOfRange):
-        find_threshold("honest", 1e-13)
+    for tolerance in (1e-13, 2e-3, 0.5, np.inf, np.nan):
+        with pytest.raises(OutOfRange):
+            find_threshold("honest", tolerance)
+    for tolerance in (1e-12, 1e-3):
+        assert find_threshold("minconc", tolerance).residual <= tolerance
 
 
 def test_bisect_requires_sign_change():

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bb84eve.cli import main
@@ -36,6 +37,16 @@ def test_thresholds_single_curve_tolerance(capsys):
     assert row["residual"] <= 1e-9
 
 
+def test_thresholds_bad_tolerance_exits_one(capsys):
+    for tol in ("inf", "0.5", "nan", "1e-13"):
+        code, out, err = run_cli(
+            capsys, "thresholds", "--curve", "minconc", "--tol", tol
+        )
+        assert code == 1, tol
+        assert out == ""
+        assert "error" in err
+
+
 def test_scan_grid(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run_cli(
@@ -59,6 +70,17 @@ def test_scan_rejects_bad_grid(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scan", "--start", "0.4", "--stop", "0.2", "--step", "0.01"])
     assert err.value.code == 2
+
+
+def test_scan_rejects_nonfinite_or_oversized_step(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid must not be built")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    for step in ("nan", "inf", "-inf", "1e-9", "5e-324"):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--start", "0", "--stop", "0.5", "--step", step])
+        assert err.value.code == 2, step
 
 
 def test_table_values_and_blindness(capsys):
@@ -170,6 +192,16 @@ def test_help_exits_zero():
         )
         assert proc.returncode == 0
         assert "--out" in proc.stdout
+
+
+def test_imports_load_no_scipy():
+    probe = (
+        "import sys, bb84eve, bb84eve.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_entry_point_runs_as_subprocess():

@@ -153,8 +153,8 @@ def test_concurrence_pure_states():
 
 
 def test_key_rate_thresholds():
-    assert abs(key_rate(0.2, "raw-analytic")) <= 1e-9
-    assert abs(key_rate(0.0, "raw-analytic") - 0.5) <= 1e-15
+    assert abs(key_rate(0.2, "minconc")) <= 1e-9
+    assert abs(key_rate(0.0, "minconc") - 0.5) <= 1e-15
     assert abs(key_rate(0.12298094015744837, "hsw")) <= 1e-12
     assert abs(key_rate(0.1230, "hsw")) <= 1e-4
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_key_rate_thresholds():
 
 def test_key_rate_single_sign_change_on_half_interval():
     grid = np.linspace(1e-6, 0.5, 4001)
-    signs = np.sign([key_rate(float(e), "raw-analytic") for e in grid])
+    signs = np.sign([key_rate(float(e), "minconc") for e in grid])
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) == 1
     assert abs(grid[flips[0]] - 0.2) < 1e-3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,17 @@ def test_conditioned_ancilla_from_state_matches_symmetric_route():
         w = np.sort(np.linalg.eigvalsh(rho))[::-1]
         assert np.allclose(w[:2], [1 - 0.35 / 2, 0.35 / 2], atol=1e-12)
         assert w[2] <= 1e-10
+
+
+def test_conditioned_ancilla_from_state_rejects_biased_alice_marginal():
+    zero = np.array([1, 0], dtype=complex)
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    for alice in (zero, plus):  # z marginal, then x marginal, away from 1/2
+        ket = np.kron(alice, zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange):
+                conditioned_ancilla_from_state(np.outer(ket, ket.conj()))
 
 
 def test_joint_table_matches_closed_form():
