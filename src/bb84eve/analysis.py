@@ -70,10 +70,15 @@ def key_rate(epsilon: float, curve: str) -> float:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """A bisection root; ``converged`` says whether ``residual`` met the
+    tolerance, ``bracket_width`` is the final bracket's width."""
+
     curve: str
     epsilon_star: float
     residual: float
     iterations: int
+    converged: bool
+    bracket_width: float
 
     @property
     def qber(self) -> float:
@@ -86,19 +91,22 @@ def bisect_sign_change(
     hi: float,
     tolerance: float,
     max_iterations: int = MAX_BISECTIONS,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, bool, float]:
     """Bisection on a sign change of ``f`` over [lo, hi].
 
-    Returns (root, |f(root)|, iterations).  The bracket is validated before
-    iterating; ``NoSignChange`` is raised if both ends share a sign.
+    Returns (root, |f(root)|, iterations, converged, bracket width):
+    ``converged`` says whether |f(root)| <= ``tolerance``, and the width is
+    that of the last bracket around the root (0 for an exact root at an
+    end).  The bracket is validated before iterating; ``NoSignChange`` is
+    raised if both ends share a sign.
     Bisection is used deliberately: the information curves have divergent
     slope near the branch points and robustness beats speed here.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return lo, 0.0, 0
+        return lo, 0.0, 0, True, 0.0
     if fhi == 0.0:
-        return hi, 0.0, 0
+        return hi, 0.0, 0, True, 0.0
     if np.sign(flo) == np.sign(fhi):
         raise NoSignChange(
             f"f({lo})={flo:.3e} and f({hi})={fhi:.3e} have the same sign"
@@ -113,19 +121,17 @@ def bisect_sign_change(
             lo, flo = mid, fmid
         else:
             hi = mid
-    return mid, abs(fmid), it
+    return mid, abs(fmid), it, abs(fmid) <= tolerance, hi - lo
 
 
 def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
     """Noise value where Alice-Bob information crosses Eve's curve."""
     if not 1e-12 <= tolerance <= 1e-3:
         raise OutOfRange(f"tolerance={tolerance} outside [1e-12, 1e-3]")
-    root, residual, iterations = bisect_sign_change(
+    root, residual, iterations, converged, width = bisect_sign_change(
         lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
     )
-    return ThresholdResult(
-        curve=curve, epsilon_star=root, residual=residual, iterations=iterations
-    )
+    return ThresholdResult(curve, root, residual, iterations, converged, width)
 
 
 _GOLDEN = (3 - math.sqrt(5)) / 2

@@ -45,7 +45,7 @@ def _emit_json(out, command, parameters, rows, provenance) -> None:
         schema_version=SCHEMA_VERSION, command=command, parameters=parameters,
         rows=rows, provenance=provenance,
     )
-    _write(json.dumps(_round12(record), indent=2) + "\n", out)
+    _write(json.dumps(_round12(record), indent=2, allow_nan=False) + "\n", out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -122,7 +122,7 @@ def cmd_table(args) -> int:
                 sigma = np.sqrt(p * (1 - p) / args.simulate)
                 dev = empirical[b, a] - p
                 row["empirical"] = empirical[b, a]
-                row["z"] = dev / sigma if sigma > 0 else (0.0 if dev == 0 else np.inf)
+                row["z"] = dev / sigma if sigma > 0 else (0.0 if dev == 0 else None)
             rows.append(row)
     _emit_json(
         args.out, "table",
@@ -267,8 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--trials must be >= 1")
         if args.max_iterations < 1:
             parser.error("--max-iterations must be >= 1")
-    if args.subcommand in ("povm-check", "search-nonsym") and args.restarts < 1:
-        parser.error("--restarts must be >= 1")
+    if args.subcommand in ("povm-check", "search-nonsym"):
+        if not 1 <= args.restarts <= povm_mod.MAX_RESTARTS:
+            parser.error(f"--restarts must be in [1, {povm_mod.MAX_RESTARTS}]")
     try:
         return args.func(args)
     except (OutOfRange, NotPositive, InfeasiblePoint, NoSignChange) as exc:

@@ -16,6 +16,8 @@ from .errors import NotNormalized, OutOfRange
 from .linalg import SIGMA_Y, eig_hermitian, von_neumann_entropy
 from .states import AncillaEnsemble, FamilyPoint, require_feasible
 
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+
 
 def correlation_info(x: float) -> float:
     """(1/2)[(1-x)log2(1-x) + (1+x)log2(1+x)] on [0, 1].
@@ -98,12 +100,8 @@ def hsw_bound(ensemble: AncillaEnsemble) -> float:
 
     S(average state) minus the prior-weighted average member entropy.
     """
-    avg = von_neumann_entropy(ensemble.average_state())
-    members = sum(
-        p * von_neumann_entropy(rho)
-        for p, rho in zip(ensemble.priors, ensemble.states)
-    )
-    return avg - members
+    s = von_neumann_entropy(np.stack((ensemble.average_state(), *ensemble.states)))
+    return float(s[0] - ensemble.priors @ s[1:])
 
 
 def hsw_optimal(epsilon: float) -> float:
@@ -142,7 +140,6 @@ def concurrence(rho: np.ndarray) -> float:
     spec = eig_hermitian(rho)
     w = np.where(spec.eigenvalues > 1e-14, spec.eigenvalues, 0.0)
     sqrt_rho = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.conj().T
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    s = np.linalg.svd(sqrt_rho.T @ yy @ sqrt_rho, compute_uv=False)
+    s = np.linalg.svd(sqrt_rho.T @ _YY @ sqrt_rho, compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 

@@ -33,12 +33,22 @@ class Spectrum(NamedTuple):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Adjoint of a matrix, or of each matrix in a stack (..., d, d)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its own adjoint."""
-    return float(np.max(np.abs(m - dagger(m))))
+def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
+    """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    adj = dagger(m)
+    defect = np.abs(m - adj).max()
+    if defect > tol:
+        raise NotHermitian(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}"
+        )
+    return (m + adj) / 2
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
@@ -48,17 +58,14 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
     has passed the Hermiticity check; a genuinely non-Hermitian input raises
     ``NotHermitian`` instead of being silently repaired.
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}"
-        )
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
     order = np.argsort(w)[::-1]
     return Spectrum(w[order], v[:, order])
+
+
+def dyads(kets: np.ndarray) -> np.ndarray:
+    """The rank-one operators |k⟩⟨k|, one for each row k of ``kets``."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -81,15 +88,23 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     return np.trace(t, axis1=0, axis2=2)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -tr(ρ log2 ρ) in bits, with 0·log 0 := 0."""
-    w = eig_hermitian(rho).eigenvalues
-    if w[-1] < -NEGATIVE_EIGENVALUE_TOL:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Entropy -tr(ρ log2 ρ) in bits, with 0·log 0 := 0.
+
+    Takes one density operator, or a stack (..., d, d) of them and returns
+    one entropy per matrix.  Every matrix must be finite, Hermitian within
+    ``HERMITICITY_TOL`` and have no eigenvalue below
+    -``NEGATIVE_EIGENVALUE_TOL``.
+    """
+    w = np.linalg.eigvalsh(_hermitian_part(rho, HERMITICITY_TOL))
+    smallest = w.min()
+    if smallest < -NEGATIVE_EIGENVALUE_TOL:
         raise ValueError(
-            f"not a density operator: smallest eigenvalue {w[-1]:.3e}"
+            f"not a density operator: smallest eigenvalue {smallest:.3e}"
         )
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-(w * np.log2(w)).sum())
+    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)  # log2(1) = 0 drops the term
+    s = -(w * np.log2(w)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def bell_basis() -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
 from .infotheory import mutual_information
+from .linalg import dagger, dyads
 from .states import (
     AncillaEnsemble,
     FamilyPoint,
@@ -26,6 +27,8 @@ from .states import (
 
 POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+# The whole restart batch is held in memory, about 21 KiB per restart.
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,7 @@ class Povm:
         return self.elements[0].shape[0]
 
     def total(self) -> np.ndarray:
-        out = np.zeros_like(self.elements[0])
-        for el in self.elements:
-            out = out + el
-        return out
+        return np.sum(self.elements, axis=0)
 
 
 def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
@@ -54,12 +54,11 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     """
     if len(povm.elements) != len(povm.labels):
         raise DimensionMismatch("one label per element required")
-    for label, el in zip(povm.labels, povm.elements):
-        smallest = float(np.linalg.eigvalsh((el + el.conj().T) / 2)[0])
-        if smallest < -POSITIVITY_TOL:
-            raise ValueError(
-                f"element {label} has negative eigenvalue {smallest:.3e}"
-            )
+    elements = np.stack(povm.elements)
+    smallest = np.linalg.eigvalsh((elements + dagger(elements)) / 2)[:, 0]
+    for label, low in zip(povm.labels, smallest):
+        if low < -POSITIVITY_TOL:
+            raise ValueError(f"element {label} has negative eigenvalue {low:.3e}")
     target = np.eye(povm.dim) if support is None else support
     defect = float(np.max(np.abs(povm.total() - target)))
     if defect > COMPLETENESS_TOL:
@@ -93,22 +92,22 @@ def analytic_povm(point: FamilyPoint) -> Povm:
         ],
         dtype=complex,
     )
-    elements = [np.outer(k, k.conj()) for k in kets]
+    elements = dyads(kets)
     labels = ["P1", "P2", "P3", "P4"]
 
     support = np.diag(alive.astype(complex))
-    defect = support - sum(elements)
+    defect = support - elements.sum(axis=0)
     if np.max(np.abs(defect)) > ZERO_WEIGHT:
-        gap, basis = np.linalg.eigh((defect + defect.conj().T) / 2)
-        for idx in np.nonzero(gap > ZERO_WEIGHT)[0]:
-            v = basis[:, idx]
-            elements.append(gap[idx] * np.outer(v, v.conj()))
-            labels.append(f"pad{idx}")
+        gap, basis = np.linalg.eigh((defect + dagger(defect)) / 2)
+        pad = gap > ZERO_WEIGHT
+        pads = gap[pad, None, None] * dyads(basis.T[pad])
+        elements = np.concatenate((elements, pads))
+        labels += [f"pad{idx}" for idx in np.nonzero(pad)[0]]
 
-    keep = [i for i, el in enumerate(elements) if np.trace(el).real > 1e-14]
+    keep = np.einsum("kii->k", elements).real > 1e-14
     out = Povm(
-        elements=tuple(elements[i] for i in keep),
-        labels=tuple(labels[i] for i in keep),
+        elements=tuple(elements[keep]),
+        labels=tuple(label for label, k in zip(labels, keep) if k),
     )
     validate_povm(out, support=support)
     return out
@@ -165,11 +164,12 @@ def canonical_optimal_povm(point: FamilyPoint) -> Povm:
 class OptimizerConfig:
     """Knobs for the numerical search; defaults suit four-state ensembles.
 
-    A restart stops after ten consecutive steps that each gained less than
-    ``step_tolerance`` (finite, >= 0), or after ``max_iterations`` (>= 1)
-    steps.  The default budget of 16 outcome kets suffices for the
-    4-dimensional ancilla: rank-one POVMs with at most d² outcomes attain
-    the accessible information (Davies, IEEE TIT 24, 596, 1978).
+    ``restarts`` lies in [1, ``MAX_RESTARTS``].  A restart stops after ten
+    consecutive steps that each gained less than ``step_tolerance`` (finite,
+    >= 0), or after ``max_iterations`` (>= 1) steps.  The default budget of
+    16 outcome kets suffices for the 4-dimensional ancilla: rank-one POVMs
+    with at most d² outcomes attain the accessible information (Davies,
+    IEEE TIT 24, 596, 1978).
     """
 
     restarts: int = 8
@@ -336,8 +336,8 @@ def optimize_povm(
     Extra starting measurements (e.g. the analytic optimum) can be passed
     via ``seed_povms``; the search then returns at least their value.
     """
-    if cfg.restarts < 1:
-        raise OutOfRange("restarts must be >= 1")
+    if not 1 <= cfg.restarts <= MAX_RESTARTS:
+        raise OutOfRange(f"restarts={cfg.restarts} outside [1, {MAX_RESTARTS}]")
     if cfg.max_iterations < 1:
         raise OutOfRange(f"max_iterations={cfg.max_iterations} must be >= 1")
     if not np.isfinite(cfg.step_tolerance) or cfg.step_tolerance < 0:
@@ -370,7 +370,7 @@ def optimize_povm(
     values[winner] = polished_values[0]
     kets[winner] = polished[0]
 
-    elements = tuple(np.outer(k, k.conj()) for k in kets[winner])
+    elements = tuple(dyads(kets[winner]))
     povm = Povm(elements=elements, labels=tuple(f"k{i}" for i in range(n)))
     return OptimizeResult(
         povm=povm,

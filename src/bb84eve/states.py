@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
-from .linalg import PAULI, bell_basis, eig_hermitian
+from .linalg import PAULI, bell_basis, dyads, eig_hermitian
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
@@ -23,13 +23,34 @@ NEGATIVE_EIG = 1e-10
 MARGINAL_SLACK = 1e-9
 
 _BELL = bell_basis()
+_BELL_PROJECTORS = dyads(_BELL)
 
-_SINGLE_QUBIT_KETS = {
-    "z+": np.array([1, 0], dtype=complex),
-    "z-": np.array([0, 1], dtype=complex),
-    "x+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "x-": np.array([1, -1], dtype=complex) / np.sqrt(2),
-}
+# Single-qubit kets, one row per entry of OUTCOMES.
+_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
+_KETS[2:] /= np.sqrt(2)
+
+
+def _kron_pairs(ops: np.ndarray) -> np.ndarray:
+    """out[j, k] = ops[j] ⊗ ops[k] for a stack of single-qubit operators."""
+    n = len(ops)
+    return np.einsum("jac,kbd->jkabcd", ops, ops).reshape(n, n, 4, 4)
+
+
+# σ_j ⊗ σ_k, and the outcome-pair projectors P_a ⊗ P_b indexed [b, a].
+_PAULI_PAIRS = _kron_pairs(np.array(PAULI))
+_OUTCOME_PAIRS = _kron_pairs(dyads(_KETS)).swapaxes(0, 1)
+
+# Alice's outcome l leaves Eve the two kets Σ_j _ANCILLA_SIGNS[l, i, j]·e_j
+# (i = 0, 1), written in her four ancilla kets e_j.
+_ANCILLA_SIGNS = np.array(
+    [
+        [[1, 1, 0, 0], [0, 0, 1, 1]],  # z+: e0 + e1, e2 + e3
+        [[1, -1, 0, 0], [0, 0, 1, -1]],  # z-: e0 - e1, e2 - e3
+        [[1, 0, 0, -1], [0, 1, 1, 0]],  # x+: e0 - e3, e1 + e2
+        [[1, 0, 0, 1], [0, 1, -1, 0]],  # x-: e0 + e3, e1 - e2
+    ],
+    dtype=complex,
+)
 
 
 @dataclass(frozen=True)
@@ -65,19 +86,7 @@ class AncillaEnsemble:
         return np.full(len(self.states), 1.0 / len(self.states))
 
     def average_state(self) -> np.ndarray:
-        out = np.zeros_like(self.states[0])
-        for p, rho in zip(self.priors, self.states):
-            out = out + p * rho
-        return out
-
-
-def outcome_kets() -> tuple[np.ndarray, ...]:
-    """Single-qubit kets in the fixed outcome order (z+, z-, x+, x-)."""
-    return tuple(_SINGLE_QUBIT_KETS[o] for o in OUTCOMES)
-
-
-def outcome_projectors() -> tuple[np.ndarray, ...]:
-    return tuple(np.outer(k, k.conj()) for k in outcome_kets())
+        return np.sum(self.priors[:, None, None] * np.stack(self.states), axis=0)
 
 
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
@@ -85,11 +94,7 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatch("expected a two-qubit (4x4) operator")
-    c = np.empty((4, 4))
-    for j, sj in enumerate(PAULI):
-        for k, sk in enumerate(PAULI):
-            c[j, k] = np.trace(rho @ np.kron(sj, sk)).real
-    return c
+    return np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3).real
 
 
 def state_from_pauli(c: np.ndarray) -> np.ndarray:
@@ -97,12 +102,7 @@ def state_from_pauli(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (4, 4):
         raise DimensionMismatch("coefficient array must be 4x4")
-    rho = np.zeros((4, 4), dtype=complex)
-    for j, sj in enumerate(PAULI):
-        for k, sk in enumerate(PAULI):
-            if c[j, k] != 0.0:
-                rho += c[j, k] * np.kron(sj, sk)
-    return rho / 4
+    return np.einsum("jk,jkmn->mn", c, _PAULI_PAIRS) / 4
 
 
 def bell_weights(point: FamilyPoint) -> np.ndarray:
@@ -114,24 +114,20 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
     require_feasible(point)
     e, c = point.epsilon, point.c22
     w = np.array([3 - 2 * e - c, 1 + c, -1 + 2 * e - c, 1 + c]) / 4
-    return np.clip(w, 0.0, None)  # strip feasibility-slack dust
+    return np.maximum(w, 0.0)  # strip feasibility-slack dust
 
 
 def unbiased_noise_state(epsilon: float) -> np.ndarray:
     """(1-ε)·singlet + ε/4·identity, the state Alice and Bob test for."""
     if not 0 <= epsilon <= 1:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
-    singlet = np.outer(_BELL[0], _BELL[0].conj())
-    return (1 - epsilon) * singlet + epsilon / 4 * np.eye(4, dtype=complex)
+    return (1 - epsilon) * _BELL_PROJECTORS[0] + epsilon / 4 * np.eye(4)
 
 
 def bell_diagonal_state(point: FamilyPoint) -> np.ndarray:
     """Weighted sum of Bell projectors with the weights of ``bell_weights``."""
     w = bell_weights(point)
-    rho = np.zeros((4, 4), dtype=complex)
-    for wj, ket in zip(w, _BELL):
-        rho += wj * np.outer(ket, ket.conj())
-    return rho
+    return (w[:, None, None] * _BELL_PROJECTORS).sum(axis=0)
 
 
 _FREE_NAMES = ("c02", "c20", "c12", "c21", "c22", "c23", "c32")
@@ -190,11 +186,7 @@ def purification(point: FamilyPoint) -> tuple[np.ndarray, np.ndarray]:
     w = bell_weights(point)
     amps = np.sqrt(w)
     amps[w <= ZERO_WEIGHT] = 0.0
-    ancilla = np.diag(amps).astype(complex)
-    psi = np.zeros(16, dtype=complex)
-    for j in range(4):
-        psi += np.kron(_BELL[j], ancilla[j])
-    return psi, ancilla
+    return (_BELL.T * amps).reshape(16), np.diag(amps).astype(complex)
 
 
 def conditioned_ancilla(point: FamilyPoint) -> AncillaEnsemble:
@@ -205,17 +197,8 @@ def conditioned_ancilla(point: FamilyPoint) -> AncillaEnsemble:
     and occurs with probability 1/4.
     """
     _, e = purification(point)
-    pairs = {
-        "z+": (e[0] + e[1], e[2] + e[3]),
-        "z-": (e[0] - e[1], e[2] - e[3]),
-        "x+": (e[0] - e[3], e[1] + e[2]),
-        "x-": (e[0] + e[3], e[1] - e[2]),
-    }
-    states = tuple(
-        np.outer(u, u.conj()) + np.outer(v, v.conj())
-        for u, v in (pairs[label] for label in OUTCOMES)
-    )
-    return AncillaEnsemble(states=states)
+    kets = _ANCILLA_SIGNS * e.diagonal()  # row j of e lies along axis j
+    return AncillaEnsemble(states=tuple(kets.swapaxes(1, 2) @ kets.conj()))
 
 
 def purify_state(rho: np.ndarray) -> np.ndarray:
@@ -224,14 +207,9 @@ def purify_state(rho: np.ndarray) -> np.ndarray:
     The ancilla is four-dimensional; the returned ket is sixteen-dimensional
     with index order AB ⊗ E.
     """
-    spec = eig_hermitian(rho)
-    lam = np.clip(spec.eigenvalues, 0.0, None)
-    psi = np.zeros(16, dtype=complex)
-    basis = np.eye(4, dtype=complex)
-    for m in range(4):
-        if lam[m] > ZERO_WEIGHT:
-            psi += np.sqrt(lam[m]) * np.kron(spec.eigenvectors[:, m], basis[m])
-    return psi
+    lam, vecs = eig_hermitian(rho)
+    amps = np.sqrt(np.where(lam > ZERO_WEIGHT, lam, 0.0))
+    return (vecs * amps).reshape(16)
 
 
 def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
@@ -243,15 +221,13 @@ def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
     tomographic family; ``OutOfRange`` is raised for any other ρ.
     """
     psi = purify_state(rho).reshape(2, 2, 4)  # (A, B, E)
-    states = []
-    for label, ket in zip(OUTCOMES, outcome_kets()):
-        v = np.einsum("i,ibe->be", ket.conj(), psi)  # (B, E)
-        cond = v.T @ v.conj()  # sum over Bob of |v_b><v_b| on E
-        p = np.trace(cond).real  # Alice's probability of this outcome
-        if not abs(p - 0.5) <= MARGINAL_SLACK:
-            raise OutOfRange(f"Alice's {label} probability {p:.6g} is not 1/2")
-        states.append(cond / p)
-    return AncillaEnsemble(states=tuple(states))
+    v = np.einsum("li,ibe->lbe", _KETS.conj(), psi)  # (outcome, B, E)
+    cond = v.swapaxes(1, 2) @ v.conj()  # sum over Bob of |v_b><v_b| on E
+    p = np.trace(cond, axis1=1, axis2=2).real  # Alice's outcome probabilities
+    for label, pl in zip(OUTCOMES, p):
+        if not abs(pl - 0.5) <= MARGINAL_SLACK:
+            raise OutOfRange(f"Alice's {label} probability {pl:.6g} is not 1/2")
+    return AncillaEnsemble(states=tuple(cond / p[:, None, None]))
 
 
 def joint_table(rho: np.ndarray) -> np.ndarray:
@@ -264,12 +240,7 @@ def joint_table(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatch("expected a two-qubit (4x4) state")
-    projectors = outcome_projectors()
-    p = np.empty((4, 4))
-    for b, pb in enumerate(projectors):
-        for a, pa in enumerate(projectors):
-            p[b, a] = 0.25 * np.trace(rho @ np.kron(pa, pb)).real
-    return p
+    return 0.25 * np.trace(rho @ _OUTCOME_PAIRS, axis1=2, axis2=3).real
 
 
 def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:

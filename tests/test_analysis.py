@@ -60,6 +60,8 @@ def test_find_threshold_values():
         assert abs(res.epsilon_star - expected) <= 1e-6, curve
         assert res.residual <= 1e-10
         assert res.iterations <= 64
+        assert res.converged, curve
+        assert 0 < res.bracket_width <= 0.5 ** res.iterations
         assert abs(res.qber - res.epsilon_star / 2) <= 1e-15
 
 
@@ -82,6 +84,20 @@ def test_find_threshold_deterministic_and_validated():
 def test_bisect_requires_sign_change():
     with pytest.raises(NoSignChange):
         bisect_sign_change(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-9)
+
+
+def test_bisect_reports_unmet_tolerance():
+    def step(x):
+        return -1.0 if x < 0.3 else 1.0
+
+    root, residual, iterations, converged, width = bisect_sign_change(
+        step, 0.0, 1.0, 1e-9
+    )
+    assert not converged
+    assert residual == 1.0
+    assert iterations == 64
+    assert width <= 1e-15
+    assert root - width <= 0.3 <= root + width
 
 
 def test_max_entropy_c22_matches_closed_form():

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bb84eve import cli, povm
 from bb84eve.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +49,26 @@ def test_thresholds_bad_tolerance_exits_one(capsys):
         assert code == 1, tol
         assert out == ""
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["thresholds", "--all"], "thresholds_all.json"),
+        (["scan", "--start", "0", "--stop", "0.5", "--step", "0.005"],
+         "scan_0_0.5_0.005.csv"),
+    ],
+)
+def test_closed_form_output_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_emit_json_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._emit_json(None, "table", {}, [{"z": float("nan")}], {})
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_grid(capsys, tmp_path):
@@ -143,11 +167,20 @@ def test_povm_check_optimize(capsys):
     assert checks["optimizer_gap"] <= 1e-5
 
 
-def test_povm_check_bad_restarts_exit_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
-              "--optimize", "--restarts", "0"])
-    assert err.value.code == 2
+def no_optimizer_start(monkeypatch):
+    def no_start(*args, **kwargs):
+        raise AssertionError("no start may be drawn")
+
+    monkeypatch.setattr(povm, "_random_start", no_start)
+
+
+def test_povm_check_bad_restarts_exit_two(capsys, monkeypatch):
+    no_optimizer_start(monkeypatch)
+    for restarts in ("0", str(povm.MAX_RESTARTS + 1)):
+        with pytest.raises(SystemExit) as err:
+            main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
+                  "--optimize", "--restarts", restarts])
+        assert err.value.code == 2
 
 
 def test_search_nonsym_report_and_determinism(capsys):
@@ -170,11 +203,14 @@ def test_search_nonsym_one_trial(capsys):
     assert row["accepted"] == 1
 
 
-def test_search_nonsym_bad_flags_exit_two(capsys):
+def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
+    no_optimizer_start(monkeypatch)
     for argv in (
         ["search-nonsym", "--epsilon", "0", "--trials", "5"],
         ["search-nonsym", "--epsilon", "0.3", "--trials", "0"],
         ["search-nonsym", "--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
+        ["search-nonsym", "--epsilon", "0.3", "--trials", "2",
+         "--restarts", str(povm.MAX_RESTARTS + 1)],
         ["search-nonsym", "--epsilon", "0.25", "--trials", "2",
          "--max-iterations", "-5"],
     ):

@@ -18,7 +18,8 @@ from bb84eve import (
     validate_povm,
 )
 from bb84eve.errors import DimensionMismatch, InfeasiblePoint, OutOfRange
-from bb84eve.povm import _batch_info_and_ratios, _gradient, _retract
+from bb84eve import povm as povm_mod
+from bb84eve.povm import MAX_RESTARTS, _batch_info_and_ratios, _gradient, _retract
 from bb84eve.states import ZERO_WEIGHT, bell_weights
 from conftest import random_feasible_point
 
@@ -213,10 +214,16 @@ def test_optimizer_seeded_with_analytic_never_falls_below():
     assert res.info >= base - 1e-6
 
 
-def test_optimizer_config_validation():
+def test_optimizer_config_validation(monkeypatch):
+    def no_start(*args, **kwargs):
+        raise AssertionError("no start may be drawn")
+
+    monkeypatch.setattr(povm_mod, "_random_start", no_start)
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
-    with pytest.raises(OutOfRange):
-        optimize_povm(ens, OptimizerConfig(restarts=0))
+    # above MAX_RESTARTS the batch would not fit in memory
+    for bad in (0, MAX_RESTARTS + 1, 10_000_000):
+        with pytest.raises(OutOfRange):
+            optimize_povm(ens, OptimizerConfig(restarts=bad))
     with pytest.raises(OutOfRange):
         optimize_povm(ens, OptimizerConfig(outcome_budget=2))
     # a cap below 1 would return the unoptimized start
