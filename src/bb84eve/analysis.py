@@ -90,7 +90,6 @@ def bisect_sign_change(
     lo: float,
     hi: float,
     tolerance: float,
-    max_iterations: int = MAX_BISECTIONS,
 ) -> tuple[float, float, int, bool, float]:
     """Bisection on a sign change of ``f`` over [lo, hi].
 
@@ -112,7 +111,7 @@ def bisect_sign_change(
             f"f({lo})={flo:.3e} and f({hi})={fhi:.3e} have the same sign"
         )
     mid, fmid, it = lo, flo, 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= tolerance:

@@ -37,28 +37,30 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
-    """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks."""
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks:
+    finite entries and a Hermiticity defect of at most ``HERMITICITY_TOL``."""
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     adj = dagger(m)
     defect = np.abs(m - adj).max()
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitian(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e}"
         )
     return (m + adj) / 2
 
 
-def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
+def eig_hermitian(m: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix.
 
     The input is symmetrized to (m + m†)/2 before solving, but only once it
     has passed the Hermiticity check; a genuinely non-Hermitian input raises
     ``NotHermitian`` instead of being silently repaired.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, tol))
+    w, v = np.linalg.eigh(_hermitian_part(m))
     order = np.argsort(w)[::-1]
     return Spectrum(w[order], v[:, order])
 
@@ -96,7 +98,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     ``HERMITICITY_TOL`` and have no eigenvalue below
     -``NEGATIVE_EIGENVALUE_TOL``.
     """
-    w = np.linalg.eigvalsh(_hermitian_part(rho, HERMITICITY_TOL))
+    w = np.linalg.eigvalsh(_hermitian_part(rho))
     smallest = w.min()
     if smallest < -NEGATIVE_EIGENVALUE_TOL:
         raise ValueError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
 from .infotheory import mutual_information
-from .linalg import dagger, dyads
+from .linalg import _hermitian_part, dagger, dyads
 from .states import (
     AncillaEnsemble,
     FamilyPoint,
@@ -27,6 +27,8 @@ from .states import (
 
 POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+# A restart stops after ten consecutive steps that each gain less than this.
+STEP_TOLERANCE = 1e-10
 # The whole restart batch is held in memory, about 21 KiB per restart.
 MAX_RESTARTS = 1000
 
@@ -47,15 +49,17 @@ class Povm:
 
 
 def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
-    """Check positivity of every element and completeness on ``support``.
+    """Check Hermiticity and positivity of every element and completeness
+    on ``support``.
 
     ``support`` defaults to the full identity; pass the projector onto a
-    subspace for measurements defined only there.
+    subspace for measurements defined only there.  A non-finite or
+    non-Hermitian element raises like ``linalg.eig_hermitian`` does.
     """
     if len(povm.elements) != len(povm.labels):
         raise DimensionMismatch("one label per element required")
-    elements = np.stack(povm.elements)
-    smallest = np.linalg.eigvalsh((elements + dagger(elements)) / 2)[:, 0]
+    elements = _hermitian_part(np.stack(povm.elements))
+    smallest = np.linalg.eigvalsh(elements)[:, 0]
     for label, low in zip(povm.labels, smallest):
         if low < -POSITIVITY_TOL:
             raise ValueError(f"element {label} has negative eigenvalue {low:.3e}")
@@ -165,22 +169,23 @@ class OptimizerConfig:
     """Knobs for the numerical search; defaults suit four-state ensembles.
 
     ``restarts`` lies in [1, ``MAX_RESTARTS``].  A restart stops after ten
-    consecutive steps that each gained less than ``step_tolerance`` (finite,
-    >= 0), or after ``max_iterations`` (>= 1) steps.  The default budget of
-    16 outcome kets suffices for the 4-dimensional ancilla: rank-one POVMs
-    with at most d² outcomes attain the accessible information (Davies,
-    IEEE TIT 24, 596, 1978).
+    consecutive steps that each gained less than ``STEP_TOLERANCE``, or
+    after ``max_iterations`` (>= 1) steps.  The outcome count is not a
+    knob: each measurement has d² rank-one outcomes, d the dimension of the
+    ensemble's states, and these attain the accessible information
+    (Davies, IEEE TIT 24, 596, 1978).
     """
 
     restarts: int = 8
     max_iterations: int = 500
-    step_tolerance: float = 1e-10
     seed: int = 0
-    outcome_budget: int = 16
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The best restart's measurement and value, every restart's value, and
+    the iterations of the batched ascent (at most ``max_iterations``)."""
+
     povm: Povm
     info: float
     restart_values: tuple[float, ...]
@@ -193,30 +198,10 @@ def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_start(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n kets from stacked random-unitary columns; their dyads sum to identity."""
-    blocks = []
-    while sum(b.shape[0] for b in blocks) < n:
-        blocks.append(_random_unitary(rng, d).T)
-    kets = np.concatenate(blocks)[:n]
-    return kets / np.sqrt(n / d)
-
-
-def _kets_from_povm(m: Povm, n: int, d: int) -> np.ndarray:
-    """Decompose POVM elements into at most n rank-one kets, zero-padded."""
-    kets = []
-    for el in m.elements:
-        lam, vec = np.linalg.eigh((el + el.conj().T) / 2)
-        for i in np.nonzero(lam > 1e-14)[0]:
-            kets.append(np.sqrt(lam[i]) * vec[:, i])
-    if len(kets) > n:
-        raise OutOfRange(
-            f"seed POVM needs {len(kets)} kets, budget is {n}"
-        )
-    out = np.zeros((n, d), dtype=complex)
-    for i, k in enumerate(kets):
-        out[i] = k
-    return out
+def _random_start(rng: np.random.Generator, d: int) -> np.ndarray:
+    """d² kets: the columns of d random unitaries, scaled so that their
+    dyads sum to the identity."""
+    return np.concatenate([_random_unitary(rng, d).T for _ in range(d)]) / np.sqrt(d)
 
 
 def _retract(kets: np.ndarray) -> np.ndarray:
@@ -267,13 +252,12 @@ def _ascend(
     states: np.ndarray,
     priors: np.ndarray,
     max_iterations: int,
-    step_tolerance: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Monotone projected gradient ascent on a batch of ket sets.
 
     Step sizes adapt by accept/reject, so each entry's value never
     decreases.  An entry leaves the batch once ten consecutive steps gained
-    less than ``step_tolerance``.  Returns the final kets and value per
+    less than ``STEP_TOLERANCE``.  Returns the final kets and value per
     entry plus the number of iterations spent.
     """
     a, _, d = states.shape
@@ -300,7 +284,7 @@ def _ascend(
         sk[improved] = trial_sk[improved]
         eta = np.where(improved, np.minimum(eta * 1.5, 64.0), eta * 0.5)
 
-        stalled = np.where(gain < step_tolerance, stalled + 1, 0)
+        stalled = np.where(gain < STEP_TOLERANCE, stalled + 1, 0)
         done = stalled >= 10
         if done.any():
             final_kets[live[done]] = kets[done]
@@ -318,63 +302,41 @@ def _ascend(
 
 
 def optimize_povm(
-    ensemble: AncillaEnsemble,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    seed_povms: tuple[Povm, ...] = (),
+    ensemble: AncillaEnsemble, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptimizeResult:
     """Numerical search for the information-maximizing measurement.
 
     Seesaw iteration: (a) from the current measurement, build the outcome
     likelihood table and its log-ratio ranking matrices; (b) push every
     outcome ket along its ranked ascent direction and restore completeness
-    by inverse-square-root rescaling.  Restarts run batched from seeds
-    derived from (seed, restart index), and each leaves the batch as soon
-    as it stalls (ten consecutive gains below ``step_tolerance``); results
-    merge by max, so the outcome is schedule-independent and deterministic.
-    The winning restart gets a second, solo ascent to polish the value.
-
-    Extra starting measurements (e.g. the analytic optimum) can be passed
-    via ``seed_povms``; the search then returns at least their value.
+    by inverse-square-root rescaling.  Each measurement has d² rank-one
+    outcomes, d read from the ensemble's states (enough by Davies, IEEE
+    TIT 24, 596, 1978).  Restarts start from seeds derived from (seed,
+    restart index) and run as one batched ascent, each leaving the batch as
+    soon as it stalls (ten consecutive gains below ``STEP_TOLERANCE``); the
+    best restart wins, with no further pass, so the outcome is deterministic
+    and ``iterations`` is the batch's count.
     """
     if not 1 <= cfg.restarts <= MAX_RESTARTS:
         raise OutOfRange(f"restarts={cfg.restarts} outside [1, {MAX_RESTARTS}]")
     if cfg.max_iterations < 1:
         raise OutOfRange(f"max_iterations={cfg.max_iterations} must be >= 1")
-    if not np.isfinite(cfg.step_tolerance) or cfg.step_tolerance < 0:
-        raise OutOfRange(
-            f"step_tolerance={cfg.step_tolerance} must be finite and >= 0"
-        )
     states = np.stack(ensemble.states).astype(complex)
     priors = np.asarray(ensemble.priors, dtype=float)
     d = states.shape[-1]
-    n = cfg.outcome_budget
-    if n < d:
-        raise OutOfRange(f"outcome budget {n} below dimension {d}")
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = [_random_start(np.random.default_rng(s), n, d) for s in children]
-    starts.extend(_kets_from_povm(m, n, d) for m in seed_povms)
-    kets = _retract(np.stack(starts))
-
+    starts = [_random_start(np.random.default_rng(s), d) for s in children]
     kets, values, iterations = _ascend(
-        kets, states, priors, cfg.max_iterations, cfg.step_tolerance
+        _retract(np.stack(starts)), states, priors, cfg.max_iterations
     )
     winner = int(np.argmax(values))
-    polished, polished_values, extra = _ascend(
-        kets[winner : winner + 1].copy(),
-        states,
-        priors,
-        cfg.max_iterations,
-        cfg.step_tolerance,
-    )
-    values[winner] = polished_values[0]
-    kets[winner] = polished[0]
-
-    elements = tuple(dyads(kets[winner]))
-    povm = Povm(elements=elements, labels=tuple(f"k{i}" for i in range(n)))
     return OptimizeResult(
-        povm=povm,
+        povm=Povm(
+            elements=tuple(dyads(kets[winner])),
+            labels=tuple(f"k{i}" for i in range(d * d)),
+        ),
         info=float(values[winner]),
         restart_values=tuple(float(v) for v in values),
-        iterations=iterations + extra,
+        iterations=iterations,
     )

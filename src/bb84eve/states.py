@@ -60,7 +60,8 @@ class FamilyPoint:
     epsilon: float
     c22: float
 
-    def is_feasible(self, slack: float = FEASIBILITY_SLACK) -> bool:
+    def is_feasible(self) -> bool:
+        slack = FEASIBILITY_SLACK
         if not -slack <= self.epsilon <= 1 + slack:
             return False
         return -1 - slack <= self.c22 <= 2 * self.epsilon - 1 + slack
@@ -185,7 +186,6 @@ def purification(point: FamilyPoint) -> tuple[np.ndarray, np.ndarray]:
     """
     w = bell_weights(point)
     amps = np.sqrt(w)
-    amps[w <= ZERO_WEIGHT] = 0.0
     return (_BELL.T * amps).reshape(16), np.diag(amps).astype(complex)
 
 
