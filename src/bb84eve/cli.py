@@ -56,6 +56,14 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _seed(text: str) -> int:
+    """The type of every ``--seed`` flag: numpy seeds are integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def cmd_thresholds(args) -> int:
     curves = list(analysis.CURVES) if args.all else [args.curve]
     rows = []
@@ -146,7 +154,7 @@ def cmd_povm_check(args) -> int:
     conj_gap = abs(povm_mod.accessible_info(ensemble, conj) - evaluated)
     mixed = povm_mod.convex_combine(measurement, conj, 0.5)
     mix_gap = abs(povm_mod.accessible_info(ensemble, mixed) - evaluated)
-    mix_imag = max(float(np.max(np.abs(el.imag))) for el in mixed.elements)
+    mix_imag = float(np.max(np.abs(mixed.elements.imag)))
 
     rows = [
         {"check": "completeness_residual", "value": completeness},
@@ -224,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hidden coefficient (default: minconc rule)")
     p.add_argument("--simulate", type=int, default=0, metavar="N",
                    help="add an empirical table from N samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_table)
 
@@ -234,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_povm_check)
 
     p = sub.add_parser("search-nonsym", help="search nonsymmetric states")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-iterations", type=int, default=300)
     p.add_argument("--out", help="write JSON here instead of stdout")

@@ -31,7 +31,3 @@ class NotNormalized(ValueError):
 
 class NoSignChange(RuntimeError):
     """Root-finding bracket has the same sign at both ends."""
-
-
-class NoFeasibleSample(RuntimeError):
-    """Rejection sampling produced no physical state."""

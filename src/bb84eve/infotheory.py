@@ -100,7 +100,7 @@ def hsw_bound(ensemble: AncillaEnsemble) -> float:
 
     S(average state) minus the prior-weighted average member entropy.
     """
-    s = von_neumann_entropy(np.stack((ensemble.average_state(), *ensemble.states)))
+    s = von_neumann_entropy(np.insert(ensemble.states, 0, ensemble.average_state(), 0))
     return float(s[0] - ensemble.priors @ s[1:])
 
 

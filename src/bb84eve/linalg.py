@@ -65,6 +65,14 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     return Spectrum(w[order], v[:, order])
 
 
+def square_stack(m) -> np.ndarray:
+    """``m`` as a complex stack (n, d, d) of n >= 1 square matrices."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or not len(m):
+        raise DimensionMismatch(f"shape {m.shape} is not a stack (n, d, d), n >= 1")
+    return m
+
+
 def dyads(kets: np.ndarray) -> np.ndarray:
     """The rank-one operators |k⟩⟨k|, one for each row k of ``kets``."""
     return kets[:, :, None] * kets.conj()[:, None, :]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
 from .infotheory import mutual_information
-from .linalg import _hermitian_part, dagger, dyads
+from .linalg import _hermitian_part, dagger, dyads, square_stack
 from .states import (
     AncillaEnsemble,
     FamilyPoint,
@@ -35,17 +35,19 @@ MAX_RESTARTS = 1000
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure: elements plus outcome labels."""
+    """A positive operator-valued measure: its elements as one (n, d, d) stack."""
 
-    elements: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
+    elements: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", square_stack(self.elements))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def total(self) -> np.ndarray:
-        return np.sum(self.elements, axis=0)
+        return self.elements.sum(axis=0)
 
 
 def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
@@ -56,13 +58,9 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     subspace for measurements defined only there.  A non-finite or
     non-Hermitian element raises like ``linalg.eig_hermitian`` does.
     """
-    if len(povm.elements) != len(povm.labels):
-        raise DimensionMismatch("one label per element required")
-    elements = _hermitian_part(np.stack(povm.elements))
-    smallest = np.linalg.eigvalsh(elements)[:, 0]
-    for label, low in zip(povm.labels, smallest):
-        if low < -POSITIVITY_TOL:
-            raise ValueError(f"element {label} has negative eigenvalue {low:.3e}")
+    w = np.linalg.eigvalsh(_hermitian_part(povm.elements))[:, 0]
+    if w.min() < -POSITIVITY_TOL:
+        raise ValueError(f"element {w.argmin()} has negative eigenvalue {w.min():.3e}")
     target = np.eye(povm.dim) if support is None else support
     defect = float(np.max(np.abs(povm.total() - target)))
     if defect > COMPLETENESS_TOL:
@@ -97,7 +95,6 @@ def analytic_povm(point: FamilyPoint) -> Povm:
         dtype=complex,
     )
     elements = dyads(kets)
-    labels = ["P1", "P2", "P3", "P4"]
 
     support = np.diag(alive.astype(complex))
     defect = support - elements.sum(axis=0)
@@ -106,52 +103,34 @@ def analytic_povm(point: FamilyPoint) -> Povm:
         pad = gap > ZERO_WEIGHT
         pads = gap[pad, None, None] * dyads(basis.T[pad])
         elements = np.concatenate((elements, pads))
-        labels += [f"pad{idx}" for idx in np.nonzero(pad)[0]]
 
-    keep = np.einsum("kii->k", elements).real > 1e-14
-    out = Povm(
-        elements=tuple(elements[keep]),
-        labels=tuple(label for label, k in zip(labels, keep) if k),
-    )
+    out = Povm(elements[np.einsum("kii->k", elements).real > 1e-14])
     validate_povm(out, support=support)
     return out
 
 
 def accessible_info(ensemble: AncillaEnsemble, m: Povm) -> float:
     """Mutual information between the ensemble label and the outcome of ``m``."""
-    if m.dim != ensemble.states[0].shape[0]:
-        raise DimensionMismatch(
-            f"POVM dimension {m.dim} does not match states of shape "
-            f"{ensemble.states[0].shape}"
-        )
-    states = np.stack(ensemble.states)
-    elements = np.stack(m.elements)
-    cond = np.einsum("aij,kji->ak", states, elements).real
+    d = ensemble.states.shape[1]
+    if m.dim != d:
+        raise DimensionMismatch(f"POVM dimension {m.dim} != state dimension {d}")
+    cond = np.einsum("aij,kji->ak", ensemble.states, m.elements).real
     joint = ensemble.priors[:, None] * np.clip(cond, 0.0, None)
     return mutual_information(joint)
 
 
 def conjugate_povm(m: Povm) -> Povm:
     """Entrywise complex conjugate; an involution, valid whenever ``m`` is."""
-    return Povm(
-        elements=tuple(el.conj() for el in m.elements),
-        labels=m.labels,
-    )
+    return Povm(m.elements.conj())
 
 
 def convex_combine(m1: Povm, m2: Povm, weight: float) -> Povm:
     """Outcome-wise mixture weight·m1 + (1-weight)·m2."""
     if not 0.0 <= weight <= 1.0:
         raise OutOfRange(f"weight={weight} outside [0, 1]")
-    if len(m1.elements) != len(m2.elements) or m1.dim != m2.dim:
+    if m1.elements.shape != m2.elements.shape:
         raise DimensionMismatch("POVMs must share outcome count and dimension")
-    return Povm(
-        elements=tuple(
-            weight * a + (1 - weight) * b
-            for a, b in zip(m1.elements, m2.elements)
-        ),
-        labels=m1.labels,
-    )
+    return Povm(weight * m1.elements + (1 - weight) * m2.elements)
 
 
 def canonical_optimal_povm(point: FamilyPoint) -> Povm:
@@ -321,8 +300,9 @@ def optimize_povm(
         raise OutOfRange(f"restarts={cfg.restarts} outside [1, {MAX_RESTARTS}]")
     if cfg.max_iterations < 1:
         raise OutOfRange(f"max_iterations={cfg.max_iterations} must be >= 1")
-    states = np.stack(ensemble.states).astype(complex)
-    priors = np.asarray(ensemble.priors, dtype=float)
+    if cfg.seed < 0:
+        raise OutOfRange(f"seed={cfg.seed} must be >= 0")
+    states, priors = ensemble.states, ensemble.priors
     d = states.shape[-1]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -332,10 +312,7 @@ def optimize_povm(
     )
     winner = int(np.argmax(values))
     return OptimizeResult(
-        povm=Povm(
-            elements=tuple(dyads(kets[winner])),
-            labels=tuple(f"k{i}" for i in range(d * d)),
-        ),
+        povm=Povm(dyads(kets[winner])),
         info=float(values[winner]),
         restart_values=tuple(float(v) for v in values),
         iterations=iterations,

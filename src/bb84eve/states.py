@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
-from .linalg import PAULI, bell_basis, dyads, eig_hermitian
+from .linalg import PAULI, bell_basis, dyads, eig_hermitian, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
@@ -77,17 +77,19 @@ def require_feasible(point: FamilyPoint) -> None:
 
 @dataclass(frozen=True)
 class AncillaEnsemble:
-    """Eve's four equally likely ancilla states, one per Alice outcome."""
+    """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack."""
 
-    states: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] = OUTCOMES
+    states: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", square_stack(self.states))
 
     @property
     def priors(self) -> np.ndarray:
         return np.full(len(self.states), 1.0 / len(self.states))
 
     def average_state(self) -> np.ndarray:
-        return np.sum(self.priors[:, None, None] * np.stack(self.states), axis=0)
+        return np.sum(self.priors[:, None, None] * self.states, axis=0)
 
 
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
@@ -198,7 +200,7 @@ def conditioned_ancilla(point: FamilyPoint) -> AncillaEnsemble:
     """
     _, e = purification(point)
     kets = _ANCILLA_SIGNS * e.diagonal()  # row j of e lies along axis j
-    return AncillaEnsemble(states=tuple(kets.swapaxes(1, 2) @ kets.conj()))
+    return AncillaEnsemble(kets.swapaxes(1, 2) @ kets.conj())
 
 
 def purify_state(rho: np.ndarray) -> np.ndarray:
@@ -227,7 +229,7 @@ def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
     for label, pl in zip(OUTCOMES, p):
         if not abs(pl - 0.5) <= MARGINAL_SLACK:
             raise OutOfRange(f"Alice's {label} probability {pl:.6g} is not 1/2")
-    return AncillaEnsemble(states=tuple(cond / p[:, None, None]))
+    return AncillaEnsemble(cond / p[:, None, None])
 
 
 def joint_table(rho: np.ndarray) -> np.ndarray:
@@ -250,6 +252,8 @@ def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise OutOfRange(f"sample count n={n} must be >= 1")
+    if seed < 0:
+        raise OutOfRange(f"seed={seed} must be >= 0")
     p = joint_table(bell_diagonal_state(point))
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p.ravel()).reshape(4, 4)

@@ -163,3 +163,12 @@ def test_nonsymmetric_search_no_advantage_and_deterministic():
     assert a.near_optimum_count >= 1
     with pytest.raises(OutOfRange):
         nonsymmetric_search(0.25, trials=0, seed=1)
+
+
+def test_nonsymmetric_search_rejects_negative_seed(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw may be made")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(OutOfRange):
+        nonsymmetric_search(0.25, trials=2, seed=-1)

@@ -219,6 +219,20 @@ def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--epsilon", "0.2", "--simulate", "10"],
+    ["table", "--epsilon", "0.2"],
+    ["povm-check", "--epsilon", "0.3", "--c22", "-0.5", "--optimize"],
+    ["search-nonsym", "--epsilon", "0.25", "--trials", "2"],
+])
+def test_negative_seed_exits_two(capsys, monkeypatch, argv):
+    no_optimizer_start(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     for sub in ("thresholds", "scan", "table", "povm-check", "search-nonsym"):
         proc = subprocess.run(

@@ -77,16 +77,16 @@ def test_validate_povm_rejects_non_hermitian_and_non_finite():
     # I/2 ± B is complete and (E + E†)/2 = I/2 is positive, but E ≠ E†
     b = np.array([[0, 0.1], [-0.1, 0]])
     with pytest.raises(NotHermitian):
-        validate_povm(Povm((np.eye(2) / 2 + b, np.eye(2) / 2 - b), ("a", "b")))
+        validate_povm(Povm((np.eye(2) / 2 + b, np.eye(2) / 2 - b)))
     bad = np.eye(2) / 2
     bad[0, 1] = np.nan
     with pytest.raises(ValueError):
-        validate_povm(Povm((bad, np.eye(2) / 2), ("a", "b")))
+        validate_povm(Povm((bad, np.eye(2) / 2)))
 
 
 def test_accessible_info_single_outcome_is_zero():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
-    trivial = Povm(elements=(np.eye(4, dtype=complex),), labels=("all",))
+    trivial = Povm(elements=(np.eye(4, dtype=complex),))
     assert abs(accessible_info(ens, trivial)) <= 1e-12
 
 
@@ -108,9 +108,15 @@ def test_accessible_info_epsilon_independent():
 
 def test_accessible_info_dimension_check():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
-    bad = Povm(elements=(np.eye(2, dtype=complex),), labels=("all",))
+    bad = Povm(elements=(np.eye(2, dtype=complex),))
     with pytest.raises(DimensionMismatch):
         accessible_info(ens, bad)
+    # both types hold one (n, d, d) stack of square matrices, n >= 1
+    for not_a_stack in (np.eye(4), np.ones((4, 4, 2)), np.ones((0, 4, 4))):
+        with pytest.raises(DimensionMismatch):
+            Povm(not_a_stack)
+        with pytest.raises(DimensionMismatch):
+            AncillaEnsemble(not_a_stack)
 
 
 def test_conjugate_povm_involution_and_reality():
@@ -121,7 +127,7 @@ def test_conjugate_povm_involution_and_reality():
     back = conjugate_povm(mc)
     for a, b in zip(m.elements, back.elements):
         assert np.array_equal(a, b)
-    real = Povm(elements=(np.eye(4, dtype=complex),), labels=("all",))
+    real = Povm(elements=(np.eye(4, dtype=complex),))
     for a, b in zip(real.elements, conjugate_povm(real).elements):
         assert np.array_equal(a, b)
 
@@ -173,10 +179,7 @@ def test_random_povm_never_beats_hsw_bound(rng):
         lam, vec = np.linalg.eigh(gram)
         inv_sqrt = vec @ np.diag(1 / np.sqrt(lam)) @ vec.conj().T
         kets = kets @ inv_sqrt.T
-        m = Povm(
-            elements=tuple(np.outer(k, k.conj()) for k in kets),
-            labels=tuple(str(i) for i in range(8)),
-        )
+        m = Povm(elements=tuple(np.outer(k, k.conj()) for k in kets))
         validate_povm(m)
         assert accessible_info(ens, m) <= bound + 1e-9
         assert accessible_info(ens, analytic_povm(point)) <= bound + 1e-9
@@ -242,6 +245,16 @@ def test_optimizer_config_validation(monkeypatch):
             optimize_povm(ens, OptimizerConfig(max_iterations=bad))
 
 
+def test_optimizer_rejects_negative_seed(monkeypatch):
+    def no_start(*args, **kwargs):
+        raise AssertionError("no start may be drawn")
+
+    monkeypatch.setattr(povm_mod, "_random_start", no_start)
+    ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
+    with pytest.raises(OutOfRange):
+        optimize_povm(ens, OptimizerConfig(seed=-1))
+
+
 def test_optimized_povm_is_valid_and_below_collective_bound(rng):
     point = FamilyPoint(0.5, -0.3)
     ens = conditioned_ancilla(point)
@@ -267,7 +280,7 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
         values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
 
         for v, restart in zip(values, dyads):
-            m = Povm(elements=tuple(restart), labels=tuple(map(str, range(n))))
+            m = Povm(elements=restart)
             assert abs(v - accessible_info(ens, m)) <= 1e-12
 
         cond = np.einsum("rki,aij,rkj->rak", kets.conj(), states, kets).real

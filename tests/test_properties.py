@@ -15,9 +15,12 @@ from bb84eve import (
     bell_diagonal_state,
     concurrence,
     conditioned_ancilla,
+    conditioned_ancilla_from_state,
     conjugate_povm,
+    general_state,
     hsw_bound,
     joint_table,
+    optimal_c22,
     partial_trace,
     pauli_coefficients,
     purification,
@@ -104,6 +107,21 @@ def test_analytic_povm_complete_on_support(point):
 def test_spin_flip_concurrence_equals_closed_form(point):
     want = max(0.0, (1 - point.c22) / 2 - point.epsilon)
     assert abs(concurrence(bell_diagonal_state(point)) - want) <= 1e-9
+
+
+@PROPERTY
+@given(unit)
+@example(0.0)
+@example(0.5)
+@example(1.0)
+def test_symmetric_centre_is_physical(epsilon):
+    # nonsymmetric_search's trial 0: general_state raises NotPositive for an
+    # unphysical state, so the search always accepts at least one trial
+    ensemble = conditioned_ancilla_from_state(
+        general_state(epsilon, c22=optimal_c22(epsilon))
+    )
+    traces = np.trace(ensemble.states, axis1=1, axis2=2)
+    assert np.max(np.abs(traces - 1)) <= 1e-9
 
 
 @PROPERTY

@@ -233,6 +233,11 @@ def test_simulate_raw_data_single_sample():
         simulate_raw_data(FamilyPoint(0.2, -0.6), 0, seed=3)
 
 
+def test_simulate_raw_data_rejects_negative_seed():
+    with pytest.raises(OutOfRange):
+        simulate_raw_data(FamilyPoint(0.2, -0.6), 10, seed=-1)
+
+
 def test_simulate_raw_data_within_four_sigma():
     n = 1_000_000
     point = FamilyPoint(0.2, -0.6)
