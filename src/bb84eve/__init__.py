@@ -7,7 +7,6 @@ closed forms with brute-force numerical optimizers.
 
 from .analysis import (
     CURVES,
-    ScanRow,
     SearchReport,
     ThresholdResult,
     eve_curve,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -194,31 +194,16 @@ def max_entropy_c22(epsilon: float) -> float:
     return _brent_argmax(entropy, lo, hi)
 
 
-class ScanRow(NamedTuple):
-    epsilon: float
-    i_ab: float
-    i_honest: float
-    i_maxent: float
-    i_minconc: float
-    i_hsw: float
+def scan_curves(grid) -> list[tuple[float, ...]]:
+    """Evaluate all five information curves on an ε grid within [0, 1/2].
 
-
-def scan_curves(grid) -> list[ScanRow]:
-    """Evaluate all five information curves on an ε grid within [0, 1/2]."""
-    rows = []
-    for epsilon in grid:
-        epsilon = float(epsilon)
-        rows.append(
-            ScanRow(
-                epsilon=epsilon,
-                i_ab=mi_alice_bob(epsilon),
-                i_honest=eve_curve("honest", epsilon),
-                i_maxent=eve_curve("maxent", epsilon),
-                i_minconc=eve_curve("minconc", epsilon),
-                i_hsw=eve_curve("hsw", epsilon),
-            )
-        )
-    return rows
+    Each row is (ε, I_AB, then Eve's information on each ``CURVES`` entry in
+    order: honest, maxent, minconc, hsw).
+    """
+    return [
+        (e, mi_alice_bob(e), *(eve_curve(curve, e) for curve in CURVES))
+        for e in map(float, grid)
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ one applies); floats are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -56,12 +54,17 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _seed(text: str) -> int:
-    """The type of every ``--seed`` flag: numpy seeds are integers >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """The type of an integer flag: an int >= ``lo``, and <= ``hi`` if given."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
 
 
 def cmd_thresholds(args) -> int:
@@ -89,28 +92,11 @@ def cmd_scan(args) -> int:
     grid = np.arange(0, round((args.stop - args.start) / args.step) + 1)
     grid = args.start + grid * args.step
     grid = grid[grid <= args.stop + 1e-12]
-    rows = analysis.scan_curves(grid)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["epsilon", "I_AB", "I_honest", "I_maxent", "I_minconc", "I_hsw", "qber"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                f"{v:.12g}"
-                for v in (
-                    r.epsilon,
-                    r.i_ab,
-                    r.i_honest,
-                    r.i_maxent,
-                    r.i_minconc,
-                    r.i_hsw,
-                    r.epsilon / 2,
-                )
-            ]
-        )
-    _write(buf.getvalue(), args.out)
+    header = ["epsilon", "I_AB", *(f"I_{c}" for c in analysis.CURVES), "qber"]
+    lines = [",".join(header)]
+    for row in analysis.scan_curves(grid):
+        lines.append(",".join(f"{v:.12g}" for v in (*row, row[0] / 2)))
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -210,50 +196,49 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the output here instead of stdout")
+    seed = dict(type=_int_in(0), default=0)
+    restarts = _int_in(1, povm_mod.MAX_RESTARTS)
 
-    p = sub.add_parser("thresholds", help="security thresholds per attack curve")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("thresholds", cmd_thresholds, "security thresholds per attack curve")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="all four curves")
     group.add_argument("--curve", choices=sorted(analysis.CURVES))
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("scan", help="CSV of all information curves on a grid")
+    p = command("scan", cmd_scan, "CSV of all information curves on a grid")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("table", help="Alice-Bob joint probability table")
+    p = command("table", cmd_table, "Alice-Bob joint probability table")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--c22", type=float, default=None,
                    help="hidden coefficient (default: minconc rule)")
-    p.add_argument("--simulate", type=int, default=0, metavar="N",
-                   help="add an empirical table from N samples")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_table)
+    p.add_argument("--simulate", type=_int_in(0, states.MAX_SAMPLES), default=0,
+                   metavar="N", help="add an empirical table from N samples")
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("povm-check", help="validate the optimal measurement")
+    p = command("povm-check", cmd_povm_check, "validate the optimal measurement")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--c22", type=float, required=True)
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_povm_check)
+    p.add_argument("--restarts", type=restarts, default=8)
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("search-nonsym", help="search nonsymmetric states")
+    p = command("search-nonsym", cmd_search_nonsym, "search nonsymmetric states")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iterations", type=int, default=300)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_search_nonsym)
+    p.add_argument("--trials", type=_int_in(1), required=True)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--restarts", type=restarts, default=4)
+    p.add_argument("--max-iterations", type=_int_in(1), default=300)
 
     return parser
 
@@ -268,16 +253,8 @@ def main(argv: list[str] | None = None) -> int:
                 "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "
                 f"at most {MAX_SCAN_POINTS} points"
             )
-    if args.subcommand == "search-nonsym":
-        if not 0 < args.epsilon <= 1:
-            parser.error("--epsilon must be in (0, 1]")
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if args.max_iterations < 1:
-            parser.error("--max-iterations must be >= 1")
-    if args.subcommand in ("povm-check", "search-nonsym"):
-        if not 1 <= args.restarts <= povm_mod.MAX_RESTARTS:
-            parser.error(f"--restarts must be in [1, {povm_mod.MAX_RESTARTS}]")
+    if args.subcommand == "search-nonsym" and not 0 < args.epsilon <= 1:
+        parser.error("--epsilon must be in (0, 1]")
     try:
         return args.func(args)
     except (OutOfRange, NotPositive, InfeasiblePoint, NoSignChange) as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NotNormalized, OutOfRange
 from .linalg import SIGMA_Y, eig_hermitian, von_neumann_entropy
-from .states import AncillaEnsemble, FamilyPoint, require_feasible
+from .states import AncillaEnsemble, FamilyPoint
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -121,7 +121,6 @@ class EntanglementNumbers:
 
 def entanglement_numbers(point: FamilyPoint) -> EntanglementNumbers:
     """Closed-form separability and concurrence of the symmetric state."""
-    require_feasible(point)
     e, c = point.epsilon, point.c22
     separability = min(1.0, e + 0.5 * (1 + c))
     con = max(0.0, 0.5 * (1 - c) - e)

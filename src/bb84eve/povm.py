@@ -17,13 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange
 from .infotheory import mutual_information
 from .linalg import _hermitian_part, dagger, dyads, square_stack
-from .states import (
-    AncillaEnsemble,
-    FamilyPoint,
-    ZERO_WEIGHT,
-    bell_weights,
-    require_feasible,
-)
+from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 
 POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -77,7 +71,6 @@ def analytic_povm(point: FamilyPoint) -> Povm:
     (only possible at the fully degenerate corner c22 = 1), the gap is
     filled with basis projectors.
     """
-    require_feasible(point)
     w = bell_weights(point)
     alive = w > ZERO_WEIGHT
     one_minus = 1.0 - point.c22

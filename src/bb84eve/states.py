@@ -18,6 +18,7 @@ from .linalg import PAULI, bell_basis, dyads, eig_hermitian, square_stack
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
 FEASIBILITY_SLACK = 1e-12
+MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 ZERO_WEIGHT = 1e-12
 NEGATIVE_EIG = 1e-10
 MARGINAL_SLACK = 1e-9
@@ -55,24 +56,22 @@ _ANCILLA_SIGNS = np.array(
 
 @dataclass(frozen=True)
 class FamilyPoint:
-    """A member of the symmetric family: noise ``epsilon`` and hidden ``c22``."""
+    """A member of the symmetric family: noise ``epsilon`` and hidden ``c22``.
+
+    Construction raises ``InfeasiblePoint`` unless the point is feasible to
+    within ``FEASIBILITY_SLACK``; NaN never is.
+    """
 
     epsilon: float
     c22: float
 
-    def is_feasible(self) -> bool:
-        slack = FEASIBILITY_SLACK
-        if not -slack <= self.epsilon <= 1 + slack:
-            return False
-        return -1 - slack <= self.c22 <= 2 * self.epsilon - 1 + slack
-
-
-def require_feasible(point: FamilyPoint) -> None:
-    if not point.is_feasible():
-        raise InfeasiblePoint(
-            f"(epsilon={point.epsilon}, c22={point.c22}) violates "
-            "-1 <= c22 <= 2*epsilon - 1 with 0 <= epsilon <= 1"
-        )
+    def __post_init__(self):
+        e, c, slack = self.epsilon, self.c22, FEASIBILITY_SLACK
+        if not (-slack <= e <= 1 + slack and -1 - slack <= c <= 2 * e - 1 + slack):
+            raise InfeasiblePoint(
+                f"(epsilon={e}, c22={c}) violates "
+                "-1 <= c22 <= 2*epsilon - 1 with 0 <= epsilon <= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
     The weights are ((3-2ε-c22)/4, (1+c22)/4, (-1+2ε-c22)/4, (1+c22)/4);
     they are the squared norms of Eve's four ancilla kets.
     """
-    require_feasible(point)
     e, c = point.epsilon, point.c22
     w = np.array([3 - 2 * e - c, 1 + c, -1 + 2 * e - c, 1 + c]) / 4
     return np.maximum(w, 0.0)  # strip feasibility-slack dust
@@ -250,8 +248,8 @@ def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:
 
     Deterministic for a fixed seed; every call owns its generator.
     """
-    if n < 1:
-        raise OutOfRange(f"sample count n={n} must be >= 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise OutOfRange(f"sample count n={n} outside [1, {MAX_SAMPLES}]")
     if seed < 0:
         raise OutOfRange(f"seed={seed} must be >= 0")
     p = joint_table(bell_diagonal_state(point))

@@ -120,21 +120,16 @@ def test_max_entropy_c22_is_the_argmax():
 def test_scan_curves_rows():
     rows = scan_curves(np.linspace(0, 0.5, 51))
     assert len(rows) == 51
+    minconc = 2 + CURVES.index("minconc")
     first = rows[0]
-    assert first.epsilon == 0.0
-    assert first.i_ab == 0.5
-    assert (first.i_honest, first.i_maxent, first.i_minconc, first.i_hsw) == (
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    )
+    assert first == (0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
     last = rows[-1]
-    assert abs(last.i_minconc - 0.5) <= 1e-15
+    assert abs(last[minconc] - 0.5) <= 1e-15
     at_02 = rows[20]
-    assert abs(at_02.epsilon - 0.2) <= 1e-12
-    assert abs(at_02.i_ab - at_02.i_minconc) <= 1e-9
+    assert abs(at_02[0] - 0.2) <= 1e-12
+    assert abs(at_02[1] - at_02[minconc]) <= 1e-9
     for row in rows:
+        assert len(row) == 2 + len(CURVES)
         assert np.all(np.isfinite(row))
 
 

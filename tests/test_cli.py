@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bb84eve import cli, povm
+from bb84eve import cli, povm, states
 from bb84eve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +137,18 @@ def test_table_infeasible_point_exits_one(capsys):
     code, _, err = run_cli(capsys, "table", "--epsilon", "0.2", "--c22", "0.5")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("count", ["-5", "100000000000000000000"])
+def test_table_bad_simulate_exits_two(capsys, monkeypatch, count):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(states, "simulate_raw_data", no_draw)
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--epsilon", "0.2", "--simulate", count])
+    assert err.value.code == 2
+    assert "--simulate" in capsys.readouterr().err
 
 
 def test_povm_check_interior(capsys):

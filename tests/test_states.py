@@ -84,6 +84,12 @@ def test_bell_diagonal_rejects_infeasible():
         bell_weights(FamilyPoint(0.3, -1.1))
 
 
+def test_family_point_rejects_nan():
+    for epsilon, c22 in ((np.nan, 0.0), (0.5, np.nan)):
+        with pytest.raises(InfeasiblePoint):
+            FamilyPoint(epsilon, c22)
+
+
 def test_bell_diagonal_positive_on_feasible_grid(rng):
     for _ in range(50):
         point = random_feasible_point(rng)
@@ -236,6 +242,16 @@ def test_simulate_raw_data_single_sample():
 def test_simulate_raw_data_rejects_negative_seed():
     with pytest.raises(OutOfRange):
         simulate_raw_data(FamilyPoint(0.2, -0.6), 10, seed=-1)
+
+
+def test_simulate_raw_data_rejects_count_beyond_int64(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for n in (2**63, 10**20):
+        with pytest.raises(OutOfRange):
+            simulate_raw_data(FamilyPoint(0.2, -0.6), n, seed=3)
 
 
 def test_simulate_raw_data_within_four_sigma():
