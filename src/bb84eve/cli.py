@@ -181,7 +181,12 @@ def cmd_search_nonsym(args) -> int:
     data["exceeds_symmetric_by"] = report.best_value - report.symmetric_optimum
     _emit_json(
         args.out, "search-nonsym", {"epsilon": args.epsilon, "trials": args.trials},
-        [data], {"seed": args.seed, "restarts": args.restarts},
+        [data],
+        {
+            "seed": args.seed,
+            "restarts": args.restarts,
+            "max_iterations": args.max_iterations,
+        },
     )
     return 0
 

@@ -183,7 +183,7 @@ def no_optimizer_start(monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("no start may be drawn")
 
-    monkeypatch.setattr(povm, "_random_start", no_start)
+    monkeypatch.setattr(povm, "_random_starts", no_start)
 
 
 def test_povm_check_bad_restarts_exit_two(capsys, monkeypatch):
@@ -201,9 +201,12 @@ def test_search_nonsym_report_and_determinism(capsys):
     assert code == 0
     code, out2, _ = run_cli(capsys, *args)
     assert out2 == out
-    (row,) = json.loads(out)["rows"]
+    data = json.loads(out)
+    (row,) = data["rows"]
     assert row["best_value"] <= row["symmetric_optimum"] + 1e-4
     assert row["trials"] == 8
+    # both optimizer settings change the reported numbers
+    assert data["provenance"] == {"seed": 42, "restarts": 4, "max_iterations": 300}
 
 
 def test_search_nonsym_one_trial(capsys):

@@ -24,7 +24,15 @@ from bb84eve.errors import (
     OutOfRange,
 )
 from bb84eve import povm as povm_mod
-from bb84eve.povm import MAX_RESTARTS, _batch_info_and_ratios, _gradient, _retract
+from bb84eve.povm import (
+    MAX_RESTARTS,
+    STATIONARY_TOL,
+    _batch_info_and_ratios,
+    _gradient,
+    _random_starts,
+    _retract,
+    _tangent,
+)
 from bb84eve.states import ZERO_WEIGHT, bell_weights
 from conftest import random_feasible_point
 
@@ -194,6 +202,10 @@ def test_optimizer_reaches_analytic_value():
     assert result.info >= want - 1e-5
     assert result.info <= want + 1e-6
     assert len(result.restart_values) == 8
+    # every restart stops stationary, well before the cap
+    assert len(result.restart_iterations) == len(result.restart_residuals) == 8
+    assert max(result.restart_residuals) <= STATIONARY_TOL
+    assert max(result.restart_iterations) < 500
 
 
 def test_optimizer_deterministic():
@@ -224,6 +236,11 @@ def test_optimizer_spends_at_most_max_iterations_and_returns_best_restart():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     res = optimize_povm(ens, OptimizerConfig(restarts=2, max_iterations=5))
     assert 1 <= res.iterations <= 5
+    assert res.iterations == max(res.restart_iterations)
+    assert any(  # the cap, not stationarity, stopped some restart
+        residual > STATIONARY_TOL and n == 5
+        for residual, n in zip(res.restart_residuals, res.restart_iterations)
+    )
     assert res.info == max(res.restart_values)
     assert abs(accessible_info(ens, res.povm) - res.info) <= 1e-12
     assert len(res.povm.elements) == 16  # d² outcomes for d = 4
@@ -233,7 +250,7 @@ def test_optimizer_config_validation(monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("no start may be drawn")
 
-    monkeypatch.setattr(povm_mod, "_random_start", no_start)
+    monkeypatch.setattr(povm_mod, "_random_starts", no_start)
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     # above MAX_RESTARTS the batch would not fit in memory
     for bad in (0, MAX_RESTARTS + 1, 10_000_000):
@@ -249,7 +266,7 @@ def test_optimizer_rejects_negative_seed(monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("no start may be drawn")
 
-    monkeypatch.setattr(povm_mod, "_random_start", no_start)
+    monkeypatch.setattr(povm_mod, "_random_starts", no_start)
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     with pytest.raises(OutOfRange):
         optimize_povm(ens, OptimizerConfig(seed=-1))
@@ -264,11 +281,51 @@ def test_optimized_povm_is_valid_and_below_collective_bound(rng):
     assert res.info <= hsw_bound(ens) + 1e-9
 
 
+def polar_factor(kets):
+    """The nearest complete ket sets: K·(K†K)^{-1/2}, by eigendecomposition."""
+    lam, vec = np.linalg.eigh(kets.swapaxes(1, 2) @ kets.conj())
+    inv_sqrt = (vec / np.sqrt(lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    return kets @ inv_sqrt.swapaxes(1, 2)
+
+
+def random_tangent(rng, kets):
+    """A tangent vector at each K, built without ``_tangent``: K·A with A
+    skew-Hermitian plus a part orthogonal to K's columns."""
+    r, n, d = kets.shape
+    z = rng.normal(size=(r, n, d)) + 1j * rng.normal(size=(r, n, d))
+    a = rng.normal(size=(r, d, d)) + 1j * rng.normal(size=(r, d, d))
+    k_adj = kets.conj().swapaxes(1, 2)
+    return kets @ (a - a.conj().swapaxes(1, 2)) + z - kets @ (k_adj @ z)
+
+
+def test_tangent_projection_keeps_tangents_and_makes_them(rng):
+    kets = _random_starts(7, 5, 4)
+    eta = random_tangent(rng, kets)
+    assert np.max(np.abs(_tangent(kets, eta) - eta)) <= 1e-12
+    z = rng.normal(size=kets.shape) + 1j * rng.normal(size=kets.shape)
+    skew = kets.conj().swapaxes(1, 2) @ _tangent(kets, z)
+    assert np.max(np.abs(skew + skew.conj().swapaxes(1, 2))) <= 1e-12
+
+
+def test_retraction_of_tangent_step_is_complete_and_near_polar(rng):
+    kets = _random_starts(7, 5, 4)
+    eta = random_tangent(rng, kets)
+    eta /= np.linalg.norm(eta, axis=(1, 2))[:, None, None]
+    for t in (1e-1, 1e-2, 1e-3, 1.0, 1e3):
+        step = kets + t * eta
+        out = _retract(step)
+        assert np.max(np.abs(out.swapaxes(1, 2) @ out.conj() - np.eye(4))) <= 1e-12
+        if t < 1:  # a rotation of order t² away from the polar factor
+            assert np.max(np.abs(out - polar_factor(step))) <= t**2
+
+
 def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
-    """The batched value, ratios and S·k kernel against independent forms."""
+    """The batched value, ratios and S·k kernel against independent forms,
+    at kets retracted from a tangent step as the ascent makes them, and the
+    tangent gradient against a central difference along a tangent step."""
     r, n, d = 5, 16, 4
-    kets = rng.normal(size=(r, n, d)) + 1j * rng.normal(size=(r, n, d))
-    kets = _retract(kets)
+    start = _random_starts(3, r, d)
+    kets = _retract(start + 0.5 * random_tangent(rng, start))
     dyads = np.einsum("rki,rkj->rkij", kets, kets.conj())
     assert np.max(np.abs(dyads.sum(axis=1) - np.eye(d))) <= 1e-12
 
@@ -291,4 +348,14 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
         reference = np.einsum(
             "rak,aij,rkj->rki", priors[None, :, None] * want, states, kets
         )
-        assert np.max(np.abs(_gradient(priors, ratios, sk) - reference)) <= 1e-12
+        gradient = _gradient(priors, ratios, sk)
+        assert np.max(np.abs(gradient - reference)) <= 1e-12
+
+        # the value's derivative along a tangent η is 2·Re tr(ξ†η)
+        xi = _tangent(kets, gradient)
+        eta = random_tangent(rng, kets)
+        h = 1e-5
+        up, _, _ = _batch_info_and_ratios(_retract(kets + h * eta), states_cols, priors)
+        down, _, _ = _batch_info_and_ratios(_retract(kets - h * eta), states_cols, priors)
+        slope = 2 * np.einsum("rki,rki->r", xi.conj(), eta).real
+        assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * (1 + np.abs(slope).max())

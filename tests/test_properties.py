@@ -102,6 +102,34 @@ def test_analytic_povm_complete_on_support(point):
     assert np.max(np.abs(total - support)) <= COMPLETENESS_TOL
 
 
+def holevo_operators(ensemble, m):
+    """Holevo's F_j = Σ_a p_a log2(q(j|a)/q(j)) ρ_a for each outcome j, and
+    Λ = Σ_j F_j Π_j; a term with q(j|a) = 0 counts as 0."""
+    q = np.einsum("aij,kji->ka", ensemble.states, m.elements).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(q > 0, np.log2(q / (q @ ensemble.priors)[:, None]), 0.0)
+    f = np.einsum("ka,a,aij->kij", ratios, ensemble.priors, ensemble.states)
+    return f, np.einsum("kij,kjl->il", f, m.elements)
+
+
+@PROPERTY
+@given(feasible_points())
+@example(FamilyPoint(0.0, -1.0))
+@example(FamilyPoint(1.0, -1.0))
+@example(FamilyPoint(1.0, 1.0))
+@example(FamilyPoint(0.5, 0.0))
+def test_analytic_povm_satisfies_holevo_conditions(point):
+    # A maximiser of the accessible information has Λ = Λ† and Λ ⪰ F_j on
+    # the support of the average state (Holevo, Probl. Inf. Transm. 9, 177,
+    # 1973); that average is diagonal, with the Bell weights on it.
+    ensemble = conditioned_ancilla(point)
+    f, lam = holevo_operators(ensemble, analytic_povm(point))
+    assert np.linalg.norm(lam - lam.conj().T) <= 1e-12
+    alive = bell_weights(point) > ZERO_WEIGHT
+    on_support = (lam - f)[:, alive][:, :, alive]
+    assert np.linalg.eigvalsh(on_support).min() >= -1e-12
+
+
 @PROPERTY
 @given(feasible_points())
 def test_spin_flip_concurrence_equals_closed_form(point):
