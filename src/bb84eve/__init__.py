@@ -61,7 +61,6 @@ from .states import (
     joint_table,
     pauli_coefficients,
     purification,
-    purify_state,
     simulate_raw_data,
     state_from_pauli,
     unbiased_noise_state,

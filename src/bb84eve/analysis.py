@@ -40,6 +40,8 @@ from .states import (
 )
 
 MAX_BISECTIONS = 64
+# nonsymmetric_search's optimizer settings unless the caller gives its own.
+SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
 
 C22_RULES: dict[str, Callable[[float], float]] = {
     "honest": lambda epsilon: -(1 - epsilon),
@@ -229,7 +231,7 @@ def nonsymmetric_search(
     epsilon: float,
     trials: int,
     seed: int,
-    optimizer: OptimizerConfig | None = None,
+    optimizer: OptimizerConfig = SEARCH_OPTIMIZER,
 ) -> SearchReport:
     """Search the seven hidden coefficients for an advantage over the
     symmetric family.
@@ -239,7 +241,8 @@ def nonsymmetric_search(
     [-1, 1]^7 and local Gaussian perturbations around the symmetric optimum,
     rejecting unphysical draws.  Every accepted state is purified,
     conditioned on Alice's outcomes, and handed to the POVM optimizer; the
-    best value found is reported against the symmetric optimum.
+    best value found is reported against the symmetric optimum.  Each trial
+    runs ``optimizer`` with its ``seed`` replaced by one drawn from ``seed``.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
@@ -252,7 +255,6 @@ def nonsymmetric_search(
     center[4] = optimal_c22(epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     symmetric = mi_eve_optimal(epsilon)
-    base_cfg = optimizer or OptimizerConfig(restarts=4, max_iterations=300)
 
     accepted = 0
     best_value = -np.inf
@@ -272,7 +274,7 @@ def nonsymmetric_search(
             continue
         accepted += 1
         ensemble = conditioned_ancilla_from_state(rho)
-        cfg = replace(base_cfg, seed=int(rng.integers(2**63)))
+        cfg = replace(optimizer, seed=int(rng.integers(2**63)))
         result = optimize_povm(ensemble, cfg)
         if result.info > best_value:
             best_value = result.info

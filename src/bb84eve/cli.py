@@ -177,7 +177,6 @@ def cmd_search_nonsym(args) -> int:
         ),
     )
     data = asdict(report)
-    data["best_parameters"] = list(report.best_parameters)
     data["exceeds_symmetric_by"] = report.best_value - report.symmetric_optimum
     _emit_json(
         args.out, "search-nonsym", {"epsilon": args.epsilon, "trials": args.trials},
@@ -235,15 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c22", type=float, required=True)
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
-    p.add_argument("--restarts", type=restarts, default=8)
+    p.add_argument("--restarts", type=restarts,
+                   default=povm_mod.OptimizerConfig.restarts)
     p.add_argument("--seed", **seed)
 
     p = command("search-nonsym", cmd_search_nonsym, "search nonsymmetric states")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=_int_in(1), required=True)
     p.add_argument("--seed", **seed)
-    p.add_argument("--restarts", type=restarts, default=4)
-    p.add_argument("--max-iterations", type=_int_in(1), default=300)
+    search = analysis.SEARCH_OPTIMIZER
+    p.add_argument("--restarts", type=restarts, default=search.restarts)
+    p.add_argument("--max-iterations", type=_int_in(1), default=search.max_iterations)
 
     return parser
 

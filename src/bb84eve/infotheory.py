@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, OutOfRange
-from .linalg import SIGMA_Y, eig_hermitian, von_neumann_entropy
-from .states import AncillaEnsemble, FamilyPoint
+from .linalg import SIGMA_Y, sqrt_psd, von_neumann_entropy
+from .states import AncillaEnsemble, FamilyPoint, two_qubit_operator
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -134,11 +134,9 @@ def concurrence(rho: np.ndarray) -> float:
     √eigenvalues of ρ·(σy⊗σy)·ρ*·(σy⊗σy) are evaluated as the singular
     values of √ρᵀ·(σy⊗σy)·√ρ, which sidesteps the square root of
     near-zero eigenvalues and keeps absolute errors at machine level.
+    Raises ``NotPositive`` as ``sqrt_psd`` does.
     """
-    rho = np.asarray(rho, dtype=complex)
-    spec = eig_hermitian(rho)
-    w = np.where(spec.eigenvalues > 1e-14, spec.eigenvalues, 0.0)
-    sqrt_rho = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.conj().T
-    s = np.linalg.svd(sqrt_rho.T @ _YY @ sqrt_rho, compute_uv=False)
+    root = sqrt_psd(two_qubit_operator(rho))
+    s = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 

@@ -1,4 +1,5 @@
-"""Dense complex-matrix kernel: eigendecomposition, partial trace, entropy.
+"""Dense complex-matrix kernel: eigendecomposition, square root, partial
+trace, entropy.
 
 Operators are plain numpy arrays.  All entropies and informations produced
 by this package are in bits (logarithms base 2).
@@ -10,13 +11,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotHermitian, NotPositive
 
 HERMITICITY_TOL = 1e-10
 # Eigenvalues in [-NEGATIVE_EIGENVALUE_TOL, 0) are floating-point noise at
 # rank-deficient points and are treated as exact zeros.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-ENTROPY_CUTOFF = 1e-14
+# Entropies and square roots drop eigenvalues at or below this.
+EIGENVALUE_CUTOFF = 1e-14
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,6 +67,25 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     return Spectrum(w[order], v[:, order])
 
 
+def require_psd(eigenvalues: np.ndarray) -> None:
+    """Raise ``NotPositive`` if an eigenvalue is below -``NEGATIVE_EIGENVALUE_TOL``."""
+    smallest = eigenvalues.min()
+    if smallest < -NEGATIVE_EIGENVALUE_TOL:
+        raise NotPositive(
+            f"not positive semidefinite: smallest eigenvalue {smallest:.6e}",
+            min_eigenvalue=float(smallest),
+        )
+
+
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """The positive square root of a matrix that passes ``require_psd``;
+    eigenvalues at or below ``EIGENVALUE_CUTOFF`` are rooted as zeros."""
+    lam, vecs = eig_hermitian(m)
+    require_psd(lam)
+    amps = np.sqrt(np.where(lam > EIGENVALUE_CUTOFF, lam, 0.0))
+    return (vecs * amps) @ vecs.conj().T
+
+
 def square_stack(m) -> np.ndarray:
     """``m`` as a complex stack (n, d, d) of n >= 1 square matrices."""
     m = np.asarray(m, dtype=complex)
@@ -103,16 +124,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
 
     Takes one density operator, or a stack (..., d, d) of them and returns
     one entropy per matrix.  Every matrix must be finite, Hermitian within
-    ``HERMITICITY_TOL`` and have no eigenvalue below
-    -``NEGATIVE_EIGENVALUE_TOL``.
+    ``HERMITICITY_TOL`` and pass ``require_psd``.
     """
     w = np.linalg.eigvalsh(_hermitian_part(rho))
-    smallest = w.min()
-    if smallest < -NEGATIVE_EIGENVALUE_TOL:
-        raise ValueError(
-            f"not a density operator: smallest eigenvalue {smallest:.3e}"
-        )
-    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)  # log2(1) = 0 drops the term
+    require_psd(w)
+    w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)  # log2(1) = 0 drops the term
     s = -(w * np.log2(w)).sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 

@@ -3,7 +3,9 @@
 Covers the unbiased-noise state, the one-parameter symmetric (Bell-diagonal)
 family and its seven-parameter generalization, four-qubit purifications,
 Eve's conditioned ancilla ensembles, and the Alice-Bob joint probability
-table with its Monte Carlo sampler.
+table with its Monte Carlo sampler.  One map conditions a purification on
+Alice's outcomes; all purifications of a state differ by a unitary on Eve's
+side (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
-from .linalg import PAULI, bell_basis, dyads, eig_hermitian, square_stack
+from .errors import DimensionMismatch, InfeasiblePoint, OutOfRange
+from .linalg import PAULI, bell_basis, dyads, require_psd, sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
 FEASIBILITY_SLACK = 1e-12
 MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 ZERO_WEIGHT = 1e-12
-NEGATIVE_EIG = 1e-10
 MARGINAL_SLACK = 1e-9
 
 _BELL = bell_basis()
@@ -40,18 +41,6 @@ def _kron_pairs(ops: np.ndarray) -> np.ndarray:
 # σ_j ⊗ σ_k, and the outcome-pair projectors P_a ⊗ P_b indexed [b, a].
 _PAULI_PAIRS = _kron_pairs(np.array(PAULI))
 _OUTCOME_PAIRS = _kron_pairs(dyads(_KETS)).swapaxes(0, 1)
-
-# Alice's outcome l leaves Eve the two kets Σ_j _ANCILLA_SIGNS[l, i, j]·e_j
-# (i = 0, 1), written in her four ancilla kets e_j.
-_ANCILLA_SIGNS = np.array(
-    [
-        [[1, 1, 0, 0], [0, 0, 1, 1]],  # z+: e0 + e1, e2 + e3
-        [[1, -1, 0, 0], [0, 0, 1, -1]],  # z-: e0 - e1, e2 - e3
-        [[1, 0, 0, -1], [0, 1, 1, 0]],  # x+: e0 - e3, e1 + e2
-        [[1, 0, 0, 1], [0, 1, -1, 0]],  # x-: e0 + e3, e1 - e2
-    ],
-    dtype=complex,
-)
 
 
 @dataclass(frozen=True)
@@ -91,12 +80,17 @@ class AncillaEnsemble:
         return np.sum(self.priors[:, None, None] * self.states, axis=0)
 
 
+def two_qubit_operator(m) -> np.ndarray:
+    """``m`` as a complex two-qubit (4, 4) operator."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise DimensionMismatch(f"shape {m.shape} is not a two-qubit (4x4) operator")
+    return m
+
+
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """Expansion coefficients c[j, k] = tr(ρ σ_j ⊗ σ_k), real for Hermitian ρ."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatch("expected a two-qubit (4x4) operator")
-    return np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3).real
+    return np.trace(two_qubit_operator(rho) @ _PAULI_PAIRS, axis1=2, axis2=3).real
 
 
 def state_from_pauli(c: np.ndarray) -> np.ndarray:
@@ -166,12 +160,7 @@ def general_state(
     c[2, 2] = c22
     c[2, 3], c[3, 2] = c23, c32
     rho = state_from_pauli(c)
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -NEGATIVE_EIG:
-        raise NotPositive(
-            f"coefficient choice is unphysical: smallest eigenvalue {smallest:.6e}",
-            min_eigenvalue=smallest,
-        )
+    require_psd(np.linalg.eigvalsh(rho))
     return rho
 
 
@@ -189,45 +178,39 @@ def purification(point: FamilyPoint) -> tuple[np.ndarray, np.ndarray]:
     return (_BELL.T * amps).reshape(16), np.diag(amps).astype(complex)
 
 
+def _conditioned(psi: np.ndarray) -> AncillaEnsemble:
+    """Eve's ensemble from a sixteen-dimensional purification (index order
+    A ⊗ B ⊗ E): Alice's outcome kets projected onto it, Bob traced out.
+
+    The four states carry prior 1/4 each, which holds only when Alice's z
+    and x marginals give probability 1/2 to every outcome; ``OutOfRange``
+    is raised otherwise.
+    """
+    v = (_KETS.conj() @ psi.reshape(2, 8)).reshape(4, 2, 4)  # (outcome, B, E)
+    cond = v.swapaxes(1, 2) @ v.conj()  # sum over Bob of |v_b><v_b| on E
+    p = np.einsum("lii->l", cond).real  # Alice's outcome probabilities
+    for label, pl in zip(OUTCOMES, p.tolist()):
+        if not abs(pl - 0.5) <= MARGINAL_SLACK:
+            raise OutOfRange(f"Alice's {label} probability {pl:.6g} is not 1/2")
+    return AncillaEnsemble(cond / p[:, None, None])
+
+
 def conditioned_ancilla(point: FamilyPoint) -> AncillaEnsemble:
-    """Eve's four ancilla states conditioned on Alice's measurement result.
-
-    Each state is the sum of two rank-one terms in the ancilla kets (sign
-    pattern fixed by Alice's outcome), has unit trace, rank at most two,
-    and occurs with probability 1/4.
-    """
-    _, e = purification(point)
-    kets = _ANCILLA_SIGNS * e.diagonal()  # row j of e lies along axis j
-    return AncillaEnsemble(kets.swapaxes(1, 2) @ kets.conj())
-
-
-def purify_state(rho: np.ndarray) -> np.ndarray:
-    """Purification of an arbitrary two-qubit state via eigendecomposition.
-
-    The ancilla is four-dimensional; the returned ket is sixteen-dimensional
-    with index order AB ⊗ E.
-    """
-    lam, vecs = eig_hermitian(rho)
-    amps = np.sqrt(np.where(lam > ZERO_WEIGHT, lam, 0.0))
-    return (vecs * amps).reshape(16)
+    """Eve's four ancilla states conditioned on Alice's measurement result,
+    from ``purification``: unit trace, rank at most two, prior 1/4 each."""
+    return _conditioned(purification(point)[0])
 
 
 def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
     """Conditioned ancilla ensemble for an arbitrary two-qubit state.
 
-    Projects Alice's outcome kets onto the purification and traces out Bob.
-    The four states carry prior 1/4 each, which holds only when Alice's z
-    and x marginals give probability 1/2 to every outcome, as on the
-    tomographic family; ``OutOfRange`` is raised for any other ρ.
+    Conditions the canonical purification (√ρ ⊗ I)|Φ⁺⟩, the ket √ρ read
+    row by row, whose ancilla marginal (the ensemble's average) is ρ*.  For
+    a Bell-diagonal ρ the states are U·σ·U†, σ those of
+    ``conditioned_ancilla`` and U = ``bell_basis().T``.  Raises
+    ``NotPositive`` as ``sqrt_psd`` does.
     """
-    psi = purify_state(rho).reshape(2, 2, 4)  # (A, B, E)
-    v = np.einsum("li,ibe->lbe", _KETS.conj(), psi)  # (outcome, B, E)
-    cond = v.swapaxes(1, 2) @ v.conj()  # sum over Bob of |v_b><v_b| on E
-    p = np.trace(cond, axis1=1, axis2=2).real  # Alice's outcome probabilities
-    for label, pl in zip(OUTCOMES, p):
-        if not abs(pl - 0.5) <= MARGINAL_SLACK:
-            raise OutOfRange(f"Alice's {label} probability {pl:.6g} is not 1/2")
-    return AncillaEnsemble(cond / p[:, None, None])
+    return _conditioned(sqrt_psd(two_qubit_operator(rho)).reshape(16))
 
 
 def joint_table(rho: np.ndarray) -> np.ndarray:
@@ -237,10 +220,8 @@ def joint_table(rho: np.ndarray) -> np.ndarray:
     overall factor 1/4 on each projective probability.  Row and column
     order is (z+, z-, x+, x-).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatch("expected a two-qubit (4x4) state")
-    return 0.25 * np.trace(rho @ _OUTCOME_PAIRS, axis1=2, axis2=3).real
+    products = two_qubit_operator(rho) @ _OUTCOME_PAIRS
+    return 0.25 * np.trace(products, axis1=2, axis2=3).real
 
 
 def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bb84eve import cli, povm, states
+from bb84eve import analysis, cli, povm, states
 from bb84eve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,6 +246,15 @@ def test_negative_seed_exits_two(capsys, monkeypatch, argv):
         main([*argv, "--seed", "-1"])
     assert err.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_optimizer_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["povm-check", "--epsilon", "0.3", "--c22", "-0.5"])
+    assert args.restarts == povm.OptimizerConfig().restarts
+    args = parser.parse_args(["search-nonsym", "--epsilon", "0.3", "--trials", "1"])
+    want = analysis.SEARCH_OPTIMIZER
+    assert (args.restarts, args.max_iterations) == (want.restarts, want.max_iterations)
 
 
 def test_help_exits_zero():

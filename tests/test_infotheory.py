@@ -18,9 +18,10 @@ from bb84eve import (
     mi_eve_optimal,
     mutual_information,
     optimal_c22,
+    state_from_pauli,
     unbiased_noise_state,
 )
-from bb84eve.errors import NotNormalized, OutOfRange
+from bb84eve.errors import DimensionMismatch, NotNormalized, NotPositive, OutOfRange
 from conftest import random_feasible_point
 
 # frozen oracle values, evaluated directly from the defining formulas
@@ -150,6 +151,15 @@ def test_concurrence_pure_states():
     product = np.zeros((4, 4))
     product[0, 0] = 1
     assert concurrence(product) <= 1e-10
+
+
+def test_concurrence_rejects_unphysical_and_wrong_shape():
+    # eigenvalues (-0.375, 0.375, 0.375, 0.625)
+    c = np.diag([1.0, -1.0, 0.5, -1.0])
+    with pytest.raises(NotPositive):
+        concurrence(state_from_pauli(c))
+    with pytest.raises(DimensionMismatch):
+        concurrence(np.eye(2) / 2)
 
 
 def test_key_rate_thresholds():

@@ -10,7 +10,8 @@ from bb84eve import (
     purification,
     von_neumann_entropy,
 )
-from bb84eve.errors import DimensionMismatch, NotHermitian
+from bb84eve.errors import DimensionMismatch, NotHermitian, NotPositive
+from bb84eve.linalg import sqrt_psd
 from conftest import random_density, random_unitary
 
 
@@ -115,6 +116,25 @@ def test_entropy_unitary_invariance(rng):
         u = random_unitary(rng, 4)
         rotated = u @ rho @ u.conj().T
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-10
+
+
+def test_sqrt_psd_squares_back(rng):
+    for dim in (2, 4):
+        rho = random_density(rng, dim)
+        root = sqrt_psd(rho)
+        assert np.max(np.abs(root - root.conj().T)) <= 1e-15
+        assert np.max(np.abs(root @ root - rho)) <= 1e-12
+        assert np.linalg.eigvalsh(root).min() >= -1e-12
+
+
+def test_sqrt_psd_rejects_negative_eigenvalue():
+    with pytest.raises(NotPositive) as err:
+        sqrt_psd(np.diag([0.6, 0.5, -0.1]))
+    assert err.value.min_eigenvalue == pytest.approx(-0.1)
+    with pytest.raises(NotPositive):  # the rule von_neumann_entropy applies
+        von_neumann_entropy(np.diag([0.6, 0.5, -0.1]))
+    # noise within NEGATIVE_EIGENVALUE_TOL is rooted as zero
+    assert np.allclose(sqrt_psd(np.diag([1.0, -1e-11])), np.diag([1.0, 0.0]))
 
 
 def test_bell_basis_orthonormal():

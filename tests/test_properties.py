@@ -12,6 +12,7 @@ from bb84eve import (
     FamilyPoint,
     accessible_info,
     analytic_povm,
+    bell_basis,
     bell_diagonal_state,
     concurrence,
     conditioned_ancilla,
@@ -27,6 +28,7 @@ from bb84eve import (
     state_from_pauli,
     von_neumann_entropy,
 )
+from bb84eve.errors import NotPositive
 from bb84eve.povm import COMPLETENESS_TOL
 from bb84eve.states import ZERO_WEIGHT, bell_weights
 
@@ -150,6 +152,56 @@ def test_symmetric_centre_is_physical(epsilon):
     )
     traces = np.trace(ensemble.states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1)) <= 1e-9
+
+
+@PROPERTY
+@given(feasible_points())
+@example(FamilyPoint(0.0, -1.0))
+@example(FamilyPoint(1.0, -1.0))
+@example(FamilyPoint(1.0, 1.0))
+@example(FamilyPoint(0.5, 0.0))
+@example(FamilyPoint(0.3, -0.4))
+@example(FamilyPoint(1e-6, -1 + 2e-12))
+@example(FamilyPoint(1.0, 0.9999999999999998))  # two weights of 5.6e-17
+@example(FamilyPoint(0.0019173575277701138, -0.9999999999999598))  # 1.005e-14
+def test_canonical_and_symmetric_routes_related_by_bell_unitary(point):
+    # Both purifications of the Bell-diagonal state differ by U on Eve's
+    # side.  The symmetric route roots the exact Bell weights; the canonical
+    # one roots eigenvalues that eigh finds to ~1e-16 and cuts at 1e-14, so
+    # an amplitude √w of a tiny weight is off by up to 1e-15/√w, or by √w
+    # once the weight may fall under the cut.
+    u = bell_basis().T
+    want = u @ conditioned_ancilla(point).states @ u.conj().T
+    got = conditioned_ancilla_from_state(bell_diagonal_state(point)).states
+    w = bell_weights(point)
+    w = w[w > 0]
+    slack = np.max(np.where(w > 1e-13, 1e-15 / np.sqrt(w), np.sqrt(w)))
+    assert np.max(np.abs(got - want)) <= 1e-12 + 2 * slack
+
+
+@st.composite
+def physical_general_states(draw):
+    """general_state draws: a point of [-1, 1]^7 pulled toward the symmetric
+    centre, halving the pull until the state is physical (the centre is)."""
+    epsilon = draw(unit)
+    target = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)))
+    centre = np.zeros(7)
+    centre[4] = optimal_c22(epsilon)
+    pull = draw(unit)
+    while True:
+        try:
+            return general_state(epsilon, *(centre + pull * (target - centre)))
+        except NotPositive:
+            pull /= 2
+
+
+@PROPERTY
+@given(physical_general_states())
+def test_canonical_ensemble_averages_to_conjugate_state(rho):
+    # Eve's marginal of (√ρ ⊗ I)|Φ⁺⟩ is ρ*; general_state admits eigenvalues
+    # down to -1e-10, which the square root reads as zeros
+    ensemble = conditioned_ancilla_from_state(rho)
+    assert np.max(np.abs(ensemble.average_state() - rho.conj())) <= 1e-9
 
 
 @PROPERTY

@@ -18,7 +18,7 @@ from bb84eve import (
     state_from_pauli,
     unbiased_noise_state,
 )
-from bb84eve.errors import InfeasiblePoint, NotPositive, OutOfRange
+from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
 from conftest import random_density, random_feasible_point
 
 
@@ -204,6 +204,20 @@ def test_conditioned_ancilla_from_state_rejects_biased_alice_marginal():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange):
                 conditioned_ancilla_from_state(np.outer(ket, ket.conj()))
+
+
+def test_conditioned_ancilla_from_state_rejects_unphysical_state():
+    # eigenvalues (-0.375, 0.375, 0.375, 0.625), Alice's marginals 1/2
+    rho = state_from_pauli(np.diag([1.0, -1.0, 0.5, -1.0]))
+    with pytest.raises(NotPositive) as err:
+        conditioned_ancilla_from_state(rho)
+    assert err.value.min_eigenvalue == pytest.approx(-0.375)
+
+
+def test_two_qubit_inputs_reject_other_shapes():
+    for func in (pauli_coefficients, joint_table, conditioned_ancilla_from_state):
+        with pytest.raises(DimensionMismatch):
+            func(np.eye(2) / 2)
 
 
 def test_joint_table_matches_closed_form():
