@@ -9,8 +9,9 @@ still resolve the identity on the ensemble's support.
 
 The optimizer makes no use of that form.  It climbs the accessible
 information over all complete sets of d² outcome kets by Riemannian
-conjugate gradient, and each random restart stops at a stationary point
-or at the iteration cap.
+conjugate gradient, with hybrid Hestenes–Stiefel/Dai–Yuan directions and
+a step that backtracks to the peak of a fitted quadratic, and each random
+restart stops at a stationary point or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -181,14 +182,15 @@ def _random_starts(seed: int, restarts: int, d: int) -> np.ndarray:
     """Per restart, d² kets: the columns of d random unitaries, scaled so
     that their dyads sum to the identity.
 
-    Restart i draws from the i-th child of ``seed``'s sequence; the phases
-    of R's diagonal are moved into Q, so the unitaries are Haar-distributed.
+    Restart i draws from the i-th child of ``seed``'s sequence, the real
+    and imaginary parts of each unitary's Gaussian matrix in turn; the
+    phases of R's diagonal are moved into Q, so the unitaries are
+    Haar-distributed.
     """
     g = np.empty((restarts, d, d, d), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        rng = np.random.default_rng(child)
-        for u in range(d):
-            g[i, u] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        z = np.random.default_rng(child).normal(size=(d, 2, d, d))
+        g[i] = z[:, 0] + 1j * z[:, 1]
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r, axis1=2, axis2=3)
     q = q * (phases / np.abs(phases))[:, :, None, :]
@@ -221,7 +223,7 @@ def _batch_info_and_ratios(
     r, n, d = kets.shape
     sk = (kets.reshape(r * n, d) @ states_cols).reshape(r, n, -1, d)
     cond = np.einsum("rkx,rkax->rka", kets.view(float), sk.view(float))
-    joint = priors * np.clip(cond, 0.0, None)
+    joint = priors * np.maximum(cond, 0.0)
     outcome = joint.sum(axis=2, keepdims=True)  # (R, K, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(joint > 0.0, np.log2(cond) - np.log2(outcome), 0.0)
@@ -248,6 +250,52 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("rki,rki->r", x.view(float), y.view(float))
 
 
+def _backtrack(step: np.ndarray, slope: np.ndarray, shortfall: np.ndarray) -> np.ndarray:
+    """The step to try after a rejected trial of length t = ``step``.
+
+    Along t ↦ R(K + tη) the value f has slope 2⟨ξ, η⟩ at 0, ``slope`` being
+    ⟨ξ, η⟩.  The quadratic through f(0), that slope and f(t) peaks at
+    ⟨ξ, η⟩·t² / ``shortfall``, where ``shortfall`` = f(0) + 2⟨ξ, η⟩·t − f(t)
+    is positive on every Armijo rejection, so the quadratic is concave.  The
+    peak is clipped to [0.1t, 0.5t] (Nocedal and Wright, Numerical
+    Optimization, 2006, §3.5).  A ``shortfall`` <= 0 (no rejection) has no
+    peak and gives 0.5t.
+    """
+    peak = np.divide(
+        slope * step**2, shortfall, out=np.full_like(step, np.inf), where=shortfall > 0.0
+    )
+    return np.clip(peak, 0.1 * step, 0.5 * step)
+
+
+def _direction(
+    new_grad: np.ndarray, moved: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next ascent direction η', its slope ⟨ξ', η'⟩ and ‖ξ'‖².
+
+    ``new_grad`` is the tangent gradient ξ' at the new point, ``moved`` the
+    old direction projected onto the new tangent space, P(η), and ``grad``
+    the old tangent gradient ξ.  η' is ξ' + β·P(η) with the hybrid
+    β = max(0, min(β_HS, β_DY)) of Dai and Yuan (Ann. Oper. Res. 103, 33,
+    2001), written for ascent with y = ξ' − P(ξ): β_HS = ⟨ξ', y⟩ / c and
+    β_DY = ‖ξ'‖² / c, where c = −⟨P(η), y⟩.  P is an orthogonal
+    projection, so ⟨ξ', P(ξ)⟩ = ⟨ξ', ξ⟩ and ⟨P(η), P(ξ)⟩ = ⟨P(η), ξ⟩, and
+    ξ itself is never projected.  Unless c > 0 and η' ascends, η' falls
+    back to ξ'.
+    """
+    r = grad.shape[0]
+    rows = np.stack((new_grad, moved, grad), axis=1).view(float).reshape(r, 3, -1)
+    gram = rows @ rows[:, :2].swapaxes(1, 2)
+    new_sq, grad_dir, grad_old = gram[:, 0, 0], gram[:, 1, 0], gram[:, 2, 0]
+    curvature = gram[:, 2, 1] - grad_dir
+    # for c > 0, min(β_HS, β_DY) = (‖ξ'‖² − max(⟨ξ', ξ⟩, 0)) / c
+    numerator = np.maximum(new_sq - np.maximum(grad_old, 0.0), 0.0)
+    beta = np.divide(numerator, curvature, out=np.zeros(r), where=curvature > 0.0)
+    slope = new_sq + beta * grad_dir
+    ascends = slope > 0.0
+    beta = np.where(ascends, beta, 0.0)
+    return new_grad + beta[:, None, None] * moved, np.where(ascends, slope, new_sq), new_sq
+
+
 def _conjugate_gradient(
     kets: np.ndarray,
     states: np.ndarray,
@@ -258,19 +306,20 @@ def _conjugate_gradient(
 
     Each iteration tries one step t along the direction η of every live
     entry and keeps it if it gains at least 1e-4·t·⟨ξ, η⟩ (Armijo), ξ the
-    tangent gradient; t then grows by 1.5, else it halves.  After a kept
-    step the new direction is ξ' + β·(old η projected onto the new tangent
-    space), with the Polak–Ribière+ β, and it falls back to ξ' unless it
-    ascends.  An entry leaves the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or
-    after ``max_iterations``.  Returns the final kets, values, iterations
-    and ‖ξ‖ per entry.
+    tangent gradient.  A kept step grows t by 1.5; after a rejected one the
+    next t is the peak of the quadratic fitted to the trial (``_backtrack``).
+    After a kept step the new direction is ξ' + β·(old η projected onto the
+    new tangent space), with the hybrid Hestenes–Stiefel/Dai–Yuan β, and
+    it falls back to ξ' unless it ascends (``_direction``).  An entry leaves
+    the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``.
+    Returns the final kets, values, iterations and ‖ξ‖ per entry.
     """
     a, _, d = states.shape
     states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
     grad = _tangent(kets, _gradient(priors, ratios, sk))
     sq = _inner(grad, grad)
-    direction = grad
+    direction, slope = grad, sq
     step = np.full(kets.shape[0], 0.25)
     out_kets = np.empty_like(kets)
     out_values = np.empty_like(values)
@@ -287,18 +336,18 @@ def _conjugate_gradient(
             out_iterations[live[done]] = iterations
             out_sq[live[done]] = sq[done]
             keep = ~done
-            live, kets, values, grad, sq, direction, step = (
-                x[keep] for x in (live, kets, values, grad, sq, direction, step)
+            live, kets, values, grad, sq, direction, slope, step = (
+                x[keep] for x in (live, kets, values, grad, sq, direction, slope, step)
             )
             if live.size == 0:
                 break
         iterations += 1
 
-        slope = _inner(grad, direction)
         trial = _retract(kets + step[:, None, None] * direction)
         trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols, priors)
         ok = trial_values >= values + 1e-4 * step * slope
-        step = step * np.where(ok, 1.5, 0.5)
+        shortfall = values + 2 * step * slope - trial_values
+        step = np.where(ok, 1.5 * step, _backtrack(step, slope, shortfall))
         if not ok.any():
             continue
 
@@ -306,17 +355,15 @@ def _conjugate_gradient(
         both = np.concatenate((_gradient(priors, ratios, sk), direction), axis=2)
         projected = _tangent(trial, both)
         new_grad, moved = projected[:, :, :d], projected[:, :, d:]
-        new_sq = _inner(new_grad, new_grad)
-        beta = np.maximum(0.0, (new_sq - _inner(new_grad, grad)) / sq)
-        new_dir = new_grad + beta[:, None, None] * moved
-        ascends = (_inner(new_grad, new_dir) > 0.0)[:, None, None]
+        new_dir, new_slope, new_sq = _direction(new_grad, moved, grad)
 
         kept = ok[:, None, None]
         kets = np.where(kept, trial, kets)
         grad = np.where(kept, new_grad, grad)
-        direction = np.where(kept, np.where(ascends, new_dir, new_grad), direction)
+        direction = np.where(kept, new_dir, direction)
         values = np.where(ok, trial_values, values)
         sq = np.where(ok, new_sq, sq)
+        slope = np.where(ok, new_slope, slope)
 
     return out_kets, out_values, out_iterations, np.sqrt(out_sq)
 
@@ -330,11 +377,14 @@ def optimize_povm(
     states; enough by Davies, IEEE TIT 24, 596, 1978) are the rows of an
     isometry K, K†K = I, and the accessible information is ascended on that
     manifold by Riemannian conjugate gradient (Absil, Mahony and Sepulchre,
-    2008, ch. 8).  Restarts start from seeds derived from (seed, restart
-    index) and run as one batch, each leaving it once stationary (tangent
-    gradient norm at most ``STATIONARY_TOL``, Holevo's first-order
-    condition); the best restart wins, with no further pass, so the outcome
-    is deterministic and ``iterations`` is the batch's count.
+    2008, ch. 8) with the hybrid Hestenes–Stiefel/Dai–Yuan β and an Armijo
+    step that, when a trial fails, moves to the peak of the quadratic
+    fitted to it (``_conjugate_gradient``).  Restarts start from seeds
+    derived from (seed, restart index) and run as one batch, each leaving
+    it once stationary (tangent gradient norm at most ``STATIONARY_TOL``,
+    Holevo's first-order condition); the best restart wins, with no
+    further pass, so the outcome is deterministic and ``iterations`` is
+    the batch's count.
     """
     if not 1 <= cfg.restarts <= MAX_RESTARTS:
         raise OutOfRange(f"restarts={cfg.restarts} outside [1, {MAX_RESTARTS}]")

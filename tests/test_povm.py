@@ -27,8 +27,10 @@ from bb84eve import povm as povm_mod
 from bb84eve.povm import (
     MAX_RESTARTS,
     STATIONARY_TOL,
+    _backtrack,
     _batch_info_and_ratios,
     _gradient,
+    _inner,
     _random_starts,
     _retract,
     _tangent,
@@ -194,18 +196,19 @@ def test_random_povm_never_beats_hsw_bound(rng):
 
 
 def test_optimizer_reaches_analytic_value():
-    point = FamilyPoint(0.3, -0.4)
-    ens = conditioned_ancilla(point)
-    cfg = OptimizerConfig(restarts=8, max_iterations=500, seed=5)
-    result = optimize_povm(ens, cfg)
-    want = mi_eve_analytic(-0.4)
-    assert result.info >= want - 1e-5
-    assert result.info <= want + 1e-6
-    assert len(result.restart_values) == 8
-    # every restart stops stationary, well before the cap
-    assert len(result.restart_iterations) == len(result.restart_residuals) == 8
-    assert max(result.restart_residuals) <= STATIONARY_TOL
-    assert max(result.restart_iterations) < 500
+    # (0.09, -0.9) lies near the lower edge, where the oracle's slowest calls are
+    for eps, c22 in ((0.3, -0.4), (0.09, -0.9)):
+        ens = conditioned_ancilla(FamilyPoint(eps, c22))
+        cfg = OptimizerConfig(restarts=8, max_iterations=500, seed=5)
+        result = optimize_povm(ens, cfg)
+        want = mi_eve_analytic(c22)
+        assert result.info >= want - 1e-5
+        assert result.info <= want + 1e-6
+        assert len(result.restart_values) == 8
+        # every restart stops stationary, well before the cap
+        assert len(result.restart_iterations) == len(result.restart_residuals) == 8
+        assert max(result.restart_residuals) <= STATIONARY_TOL
+        assert max(result.restart_iterations) < 500
 
 
 def test_optimizer_deterministic():
@@ -298,6 +301,25 @@ def random_tangent(rng, kets):
     return kets @ (a - a.conj().swapaxes(1, 2)) + z - kets @ (k_adj @ z)
 
 
+def test_random_starts_match_per_matrix_draws():
+    """One Gaussian draw per restart gives the starts of 2d per-matrix draws,
+    real part then imaginary part of each unitary, as every seed relies on."""
+    d = 4
+    for seed in (0, 1, 12345, 2**62):
+        for restarts in (1, 4, 20):
+            children = np.random.SeedSequence(seed).spawn(restarts)
+            for child, kets in zip(children, _random_starts(seed, restarts, d)):
+                rng = np.random.default_rng(child)
+                g = np.array(
+                    [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(d)]
+                )
+                q, r = np.linalg.qr(g)
+                phases = np.diagonal(r, axis1=1, axis2=2)
+                q = q * (phases / np.abs(phases))[:, None, :]
+                want = q.swapaxes(1, 2).reshape(d * d, d) / np.sqrt(d)
+                assert np.array_equal(kets, want)
+
+
 def test_tangent_projection_keeps_tangents_and_makes_them(rng):
     kets = _random_starts(7, 5, 4)
     eta = random_tangent(rng, kets)
@@ -359,3 +381,76 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
         down, _, _ = _batch_info_and_ratios(_retract(kets - h * eta), states_cols, priors)
         slope = 2 * np.einsum("rki,rki->r", xi.conj(), eta).real
         assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * (1 + np.abs(slope).max())
+
+
+def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
+    # the peak of q(s) = 2s − shortfall·s² (t = 1, slope 1, f(0) = 0) is 1/shortfall
+    got = _backtrack(np.ones(4), np.ones(4), np.array([3.0, 100.0, 1.5, -1.0]))
+    assert np.allclose(got, [1 / 3, 0.1, 0.5, 0.5], rtol=0, atol=1e-15)
+
+    # real rejected trials along the tangent gradient, over a range of steps
+    d = 4
+    ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
+    states_cols = ens.states.transpose(2, 0, 1).reshape(d, -1)
+    kets = _random_starts(11, 6, d)
+    values, ratios, sk = _batch_info_and_ratios(kets, states_cols, ens.priors)
+    eta = _tangent(kets, _gradient(ens.priors, ratios, sk))
+    slope = _inner(eta, eta)
+    rejected = unclipped = 0
+    for t in np.geomspace(0.05, 20.0, 12):
+        step = np.full(len(kets), t)
+        trial, _, _ = _batch_info_and_ratios(_retract(kets + t * eta), states_cols, ens.priors)
+        bad = trial < values + 1e-4 * step * slope
+        shortfall = values + 2 * step * slope - trial
+        nxt = _backtrack(step, slope, shortfall)[bad]
+        assert np.all((0.1 * t <= nxt) & (nxt <= 0.5 * t))
+        # q(s) = f(0) + 2·slope·s + a·s² through f(t) is concave, and an
+        # unclipped step is where q' vanishes
+        a = ((trial - values - 2 * t * slope) / t**2)[bad]
+        assert np.all(a < 0)
+        inside = (0.1 * t < nxt) & (nxt < 0.5 * t)
+        q_prime = 2 * slope[bad] + 2 * a * nxt
+        assert np.all(np.abs(q_prime[inside]) <= 1e-9 * slope[bad][inside])
+        rejected += bad.sum()
+        unclipped += inside.sum()
+    assert rejected and unclipped
+
+
+def test_every_new_direction_has_nonnegative_beta_and_ascends(monkeypatch):
+    """β and the slope of every direction ``_direction`` returns, against
+    the textbook hybrid β with the old gradient explicitly projected."""
+    records = []
+    at = []
+    tangent, direction = povm_mod._tangent, povm_mod._direction
+
+    def recording_tangent(kets, z):
+        at.append(kets)
+        return tangent(kets, z)
+
+    def recording_direction(new_grad, moved, grad):
+        out = direction(new_grad, moved, grad)
+        records.append((at[-1], new_grad, moved, grad, out))
+        return out
+
+    monkeypatch.setattr(povm_mod, "_tangent", recording_tangent)
+    monkeypatch.setattr(povm_mod, "_direction", recording_direction)
+    for eps, c22 in ((0.3, -0.4), (0.09, -0.9)):
+        ens = conditioned_ancilla(FamilyPoint(eps, c22))
+        optimize_povm(ens, OptimizerConfig(restarts=4, max_iterations=200, seed=3))
+    assert len(records) > 50
+
+    for trial, xi, moved, grad, (new_dir, slope, sq) in records:
+        y = xi - _tangent(trial, grad)
+        c = -_inner(moved, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hybrid = np.minimum(_inner(xi, y) / c, _inner(xi, xi) / c)
+        want = np.where(c > 0, np.maximum(hybrid, 0.0), 0.0)
+        beta = _inner(new_dir - xi, moved) / _inner(moved, moved)
+        assert np.max(np.abs(new_dir - xi - beta[:, None, None] * moved)) <= 1e-12
+        assert np.all(beta >= -1e-12)
+        # the hybrid β, unless its direction would not ascend: then β = 0
+        ascends = _inner(xi, xi + want[:, None, None] * moved) > 0
+        assert np.all(np.abs(beta - np.where(ascends, want, 0.0)) <= 1e-8 * (1 + want))
+        assert np.allclose(slope, _inner(xi, new_dir), rtol=1e-12, atol=0)
+        assert np.allclose(sq, _inner(xi, xi), rtol=1e-12, atol=0)
+        assert np.all(slope > 0)
