@@ -3,67 +3,111 @@
 Builds the eavesdropper's optimal states and measurements, computes the
 mutual-information curves and security thresholds, and cross-checks the
 closed forms with brute-force numerical optimizers.
+
+The scalar closed forms (``curves``) and the optimizer settings
+(``config``) import no numpy and are bound here at once.  Every other name
+belongs to a numeric module, which is imported on first access to one of
+its names (PEP 562), so ``import bb84eve`` alone does not load numpy.
 """
 
-from .analysis import (
+import importlib
+
+from .config import OptimizerConfig
+from .curves import (
     CURVES,
-    SearchReport,
     ThresholdResult,
+    binary_entropy,
+    correlation_info,
     eve_curve,
     find_threshold,
-    key_rate,
-    max_entropy_c22,
-    nonsymmetric_search,
-    scan_curves,
-)
-from .infotheory import (
-    EntanglementNumbers,
-    binary_entropy,
-    concurrence,
-    correlation_info,
-    entanglement_numbers,
-    hsw_bound,
     hsw_optimal,
+    key_rate,
     mi_alice_bob,
     mi_eve_analytic,
     mi_eve_optimal,
-    mutual_information,
     optimal_c22,
-)
-from .linalg import (
-    Spectrum,
-    bell_basis,
-    eig_hermitian,
-    partial_trace,
-    von_neumann_entropy,
-)
-from .povm import (
-    OptimizerConfig,
-    OptimizeResult,
-    Povm,
-    accessible_info,
-    analytic_povm,
-    canonical_optimal_povm,
-    conjugate_povm,
-    convex_combine,
-    optimize_povm,
-    validate_povm,
-)
-from .states import (
-    AncillaEnsemble,
-    FamilyPoint,
-    OUTCOMES,
-    bell_diagonal_state,
-    bell_weights,
-    conditioned_ancilla,
-    conditioned_ancilla_from_state,
-    general_state,
-    joint_table,
-    pauli_coefficients,
-    purification,
-    simulate_raw_data,
-    state_from_pauli,
-    unbiased_noise_state,
+    scan_curves,
 )
 
+_NUMERIC = {
+    "analysis": ("SearchReport", "max_entropy_c22", "nonsymmetric_search"),
+    "infotheory": (
+        "EntanglementNumbers",
+        "concurrence",
+        "entanglement_numbers",
+        "hsw_bound",
+        "mutual_information",
+    ),
+    "linalg": (
+        "Spectrum",
+        "bell_basis",
+        "eig_hermitian",
+        "partial_trace",
+        "von_neumann_entropy",
+    ),
+    "povm": (
+        "OptimizeResult",
+        "Povm",
+        "accessible_info",
+        "analytic_povm",
+        "canonical_optimal_povm",
+        "conjugate_povm",
+        "convex_combine",
+        "optimize_povm",
+        "validate_povm",
+    ),
+    "states": (
+        "AncillaEnsemble",
+        "FamilyPoint",
+        "OUTCOMES",
+        "bell_diagonal_state",
+        "bell_weights",
+        "conditioned_ancilla",
+        "conditioned_ancilla_from_state",
+        "general_state",
+        "joint_table",
+        "pauli_coefficients",
+        "purification",
+        "simulate_raw_data",
+        "state_from_pauli",
+        "unbiased_noise_state",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NUMERIC.items() for name in names}
+_SUBMODULES = ("config", "curves", "errors", *_NUMERIC)
+
+__all__ = [
+    "OptimizerConfig",
+    "CURVES",
+    "ThresholdResult",
+    "binary_entropy",
+    "correlation_info",
+    "eve_curve",
+    "find_threshold",
+    "hsw_optimal",
+    "key_rate",
+    "mi_alice_bob",
+    "mi_eve_analytic",
+    "mi_eve_optimal",
+    "optimal_c22",
+    "scan_curves",
+    *_MODULE_OF,
+    *_SUBMODULES,
+]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

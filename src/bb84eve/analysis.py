@@ -1,37 +1,25 @@
-"""Threshold root-finding, curve scans, the max-entropy locus, and the
-nonsymmetric-state search.
+"""The max-entropy locus and the nonsymmetric-state search.
 
-Four named curves describe Eve's information as a function of the noise:
-
-==========  =====================================================
-honest      c22 = -(1-ε), forced when full tomography is possible
-maxent      c22 = -(1-ε)², the entropy-maximizing state
-minconc     feasibility-clipped minimizer of |c22| (best raw-data attack)
-hsw         collective-readout bound along the max-entropy locus
-==========  =====================================================
-
-The first three are c22 rules (``C22_RULES``); ``hsw`` has its own functional.
-``max_entropy_c22`` checks the maxent rule numerically with Brent's search.
+``max_entropy_c22`` checks the maxent rule of ``curves.C22_RULES``
+numerically with Brent's search, and ``nonsymmetric_search`` probes the
+symmetry conjecture behind ``curves.mi_eve_optimal``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import NoSignChange, NotPositive, OutOfRange
-from .infotheory import (
-    hsw_optimal,
-    mi_alice_bob,
-    mi_eve_analytic,
-    mi_eve_optimal,
-    optimal_c22,
-)
+from .config import SEARCH_OPTIMIZER, OptimizerConfig, require_int
+from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
+from .curves import mi_eve_optimal, optimal_c22
+from .errors import NotPositive, OutOfRange
 from .linalg import von_neumann_entropy
-from .povm import OptimizerConfig, optimize_povm
+from .povm import optimize_povm
 from .states import (
     FamilyPoint,
     bell_diagonal_state,
@@ -39,104 +27,8 @@ from .states import (
     general_state,
 )
 
-MAX_BISECTIONS = 64
-# nonsymmetric_search's optimizer settings unless the caller gives its own.
-SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
-
-C22_RULES: dict[str, Callable[[float], float]] = {
-    "honest": lambda epsilon: -(1 - epsilon),
-    "maxent": lambda epsilon: -((1 - epsilon) ** 2),
-    "minconc": optimal_c22,
-}
-CURVES = (*C22_RULES, "hsw")
-
-
-def eve_curve(curve: str, epsilon: float) -> float:
-    """Eve's information along a named curve, for ε in the plot range [0, 1/2]."""
-    if curve not in CURVES:
-        raise ValueError(f"unknown curve {curve!r}; expected one of {sorted(CURVES)}")
-    if not 0.0 <= epsilon <= 0.5:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1/2]")
-    if curve == "hsw":
-        return hsw_optimal(epsilon)
-    return mi_eve_analytic(C22_RULES[curve](epsilon))
-
-
-def key_rate(epsilon: float, curve: str) -> float:
-    """Distillable key rate I_AB - I_AE along a named curve; may be negative.
-
-    The sign change of this quantity locates the security threshold.
-    """
-    return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """A bisection root; ``converged`` says whether ``residual`` met the
-    tolerance, ``bracket_width`` is the final bracket's width."""
-
-    curve: str
-    epsilon_star: float
-    residual: float
-    iterations: int
-    converged: bool
-    bracket_width: float
-
-    @property
-    def qber(self) -> float:
-        return self.epsilon_star / 2
-
-
-def bisect_sign_change(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tolerance: float,
-) -> tuple[float, float, int, bool, float]:
-    """Bisection on a sign change of ``f`` over [lo, hi].
-
-    Returns (root, |f(root)|, iterations, converged, bracket width):
-    ``converged`` says whether |f(root)| <= ``tolerance``, and the width is
-    that of the last bracket around the root (0 for an exact root at an
-    end).  The bracket is validated before iterating; ``NoSignChange`` is
-    raised if both ends share a sign.
-    Bisection is used deliberately: the information curves have divergent
-    slope near the branch points and robustness beats speed here.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, 0.0, 0, True, 0.0
-    if fhi == 0.0:
-        return hi, 0.0, 0, True, 0.0
-    if np.sign(flo) == np.sign(fhi):
-        raise NoSignChange(
-            f"f({lo})={flo:.3e} and f({hi})={fhi:.3e} have the same sign"
-        )
-    mid, fmid, it = lo, flo, 0
-    for it in range(1, MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tolerance:
-            break
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return mid, abs(fmid), it, abs(fmid) <= tolerance, hi - lo
-
-
-def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
-    """Noise value where Alice-Bob information crosses Eve's curve."""
-    if not 1e-12 <= tolerance <= 1e-3:
-        raise OutOfRange(f"tolerance={tolerance} outside [1e-12, 1e-3]")
-    root, residual, iterations, converged, width = bisect_sign_change(
-        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
-    )
-    return ThresholdResult(curve, root, residual, iterations, converged, width)
-
-
 _GOLDEN = (3 - math.sqrt(5)) / 2
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
 
 def _brent_argmax(
@@ -196,18 +88,6 @@ def max_entropy_c22(epsilon: float) -> float:
     return _brent_argmax(entropy, lo, hi)
 
 
-def scan_curves(grid) -> list[tuple[float, ...]]:
-    """Evaluate all five information curves on an ε grid within [0, 1/2].
-
-    Each row is (ε, I_AB, then Eve's information on each ``CURVES`` entry in
-    order: honest, maxent, minconc, hsw).
-    """
-    return [
-        (e, mi_alice_bob(e), *(eve_curve(curve, e) for curve in CURVES))
-        for e in map(float, grid)
-    ]
-
-
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of the random search over nonsymmetric states.
@@ -246,10 +126,8 @@ def nonsymmetric_search(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
-    if trials < 1:
-        raise OutOfRange(f"trials={trials} must be >= 1")
-    if seed < 0:
-        raise OutOfRange(f"seed={seed} must be >= 0")
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
 
     center = np.zeros(7)
     center[4] = optimal_c22(epsilon)

@@ -3,19 +3,20 @@
 Subcommands: thresholds, scan, table, povm-check, search-nonsym.
 Exit codes: 0 success, 1 domain error (infeasible point, no root),
 2 usage error.  Output is deterministic given the flags (and seed where
-one applies); floats are printed with 12 significant digits.
+one applies); floats are printed with 12 significant digits.  Only the
+subcommands that need numpy (table, povm-check, search-nonsym) import the
+numeric modules, so thresholds and scan start without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from . import analysis, infotheory, povm as povm_mod, states
+from . import config, curves
 from .errors import InfeasiblePoint, NoSignChange, NotPositive, OutOfRange
 
 SCHEMA_VERSION = "1"
@@ -26,9 +27,9 @@ def _round12(obj):
     """Round every float in a nested structure to 12 significant digits."""
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return int(obj)
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
@@ -68,10 +69,10 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def cmd_thresholds(args) -> int:
-    curves = list(analysis.CURVES) if args.all else [args.curve]
+    names = list(curves.CURVES) if args.all else [args.curve]
     rows = []
-    for curve in curves:
-        res = analysis.find_threshold(curve, tolerance=args.tol)
+    for curve in names:
+        res = curves.find_threshold(curve, tolerance=args.tol)
         rows.append(
             {
                 "curve": res.curve,
@@ -82,26 +83,30 @@ def cmd_thresholds(args) -> int:
             }
         )
     _emit_json(
-        args.out, "thresholds", {"curves": curves, "tol": args.tol}, rows,
+        args.out, "thresholds", {"curves": names, "tol": args.tol}, rows,
         {"tolerance": args.tol},
     )
     return 0
 
 
 def cmd_scan(args) -> int:
-    grid = np.arange(0, round((args.stop - args.start) / args.step) + 1)
-    grid = args.start + grid * args.step
-    grid = grid[grid <= args.stop + 1e-12]
-    header = ["epsilon", "I_AB", *(f"I_{c}" for c in analysis.CURVES), "qber"]
+    count = round((args.stop - args.start) / args.step) + 1
+    points = (args.start + i * args.step for i in range(count))
+    grid = [e for e in points if e <= args.stop + 1e-12]
+    header = ["epsilon", "I_AB", *(f"I_{c}" for c in curves.CURVES), "qber"]
     lines = [",".join(header)]
-    for row in analysis.scan_curves(grid):
+    for row in curves.scan_curves(grid):
         lines.append(",".join(f"{v:.12g}" for v in (*row, row[0] / 2)))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_table(args) -> int:
-    c22 = args.c22 if args.c22 is not None else infotheory.optimal_c22(args.epsilon)
+    import numpy as np
+
+    from . import states
+
+    c22 = args.c22 if args.c22 is not None else curves.optimal_c22(args.epsilon)
     point = states.FamilyPoint(args.epsilon, c22)
     analytic = states.joint_table(states.bell_diagonal_state(point))
     empirical = None
@@ -127,6 +132,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_povm_check(args) -> int:
+    import numpy as np
+
+    from . import povm as povm_mod, states
+
     point = states.FamilyPoint(args.epsilon, args.c22)
     measurement = povm_mod.analytic_povm(point)
     ensemble = states.conditioned_ancilla(point)
@@ -135,7 +144,7 @@ def cmd_povm_check(args) -> int:
     completeness = float(np.max(np.abs(measurement.total().real - support)))
 
     evaluated = povm_mod.accessible_info(ensemble, measurement)
-    formula = infotheory.mi_eve_analytic(point.c22)
+    formula = curves.mi_eve_analytic(point.c22)
     conj = povm_mod.conjugate_povm(measurement)
     conj_gap = abs(povm_mod.accessible_info(ensemble, conj) - evaluated)
     mixed = povm_mod.convex_combine(measurement, conj, 0.5)
@@ -152,7 +161,7 @@ def cmd_povm_check(args) -> int:
         {"check": "equal_weight_max_imag", "value": mix_imag},
     ]
     if args.optimize:
-        cfg = povm_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+        cfg = config.OptimizerConfig(restarts=args.restarts, seed=args.seed)
         result = povm_mod.optimize_povm(ensemble, cfg)
         rows.append({"check": "optimizer_best", "value": result.info})
         rows.append({"check": "optimizer_gap", "value": abs(result.info - formula)})
@@ -168,11 +177,13 @@ def cmd_povm_check(args) -> int:
 
 
 def cmd_search_nonsym(args) -> int:
+    from . import analysis
+
     report = analysis.nonsymmetric_search(
         args.epsilon,
         args.trials,
         args.seed,
-        optimizer=povm_mod.OptimizerConfig(
+        optimizer=config.OptimizerConfig(
             restarts=args.restarts, max_iterations=args.max_iterations
         ),
     )
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the output here instead of stdout")
     seed = dict(type=_int_in(0), default=0)
-    restarts = _int_in(1, povm_mod.MAX_RESTARTS)
+    restarts = _int_in(1, config.MAX_RESTARTS)
 
     def command(name, func, help):
         p = sub.add_parser(name, parents=[common], help=help)
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("thresholds", cmd_thresholds, "security thresholds per attack curve")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="all four curves")
-    group.add_argument("--curve", choices=sorted(analysis.CURVES))
+    group.add_argument("--curve", choices=sorted(curves.CURVES))
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
     p = command("scan", cmd_scan, "CSV of all information curves on a grid")
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--c22", type=float, default=None,
                    help="hidden coefficient (default: minconc rule)")
-    p.add_argument("--simulate", type=_int_in(0, states.MAX_SAMPLES), default=0,
+    p.add_argument("--simulate", type=_int_in(0, config.MAX_SAMPLES), default=0,
                    metavar="N", help="add an empirical table from N samples")
     p.add_argument("--seed", **seed)
 
@@ -235,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
     p.add_argument("--restarts", type=restarts,
-                   default=povm_mod.OptimizerConfig.restarts)
+                   default=config.OptimizerConfig.restarts)
     p.add_argument("--seed", **seed)
 
     p = command("search-nonsym", cmd_search_nonsym, "search nonsymmetric states")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=_int_in(1), required=True)
     p.add_argument("--seed", **seed)
-    search = analysis.SEARCH_OPTIMIZER
+    search = config.SEARCH_OPTIMIZER
     p.add_argument("--restarts", type=restarts, default=search.restarts)
     p.add_argument("--max-iterations", type=_int_in(1), default=search.max_iterations)
 
@@ -253,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "scan":
-        ok = 0 <= args.start < args.stop <= 0.5 and 0 < args.step < np.inf
+        ok = 0 <= args.start < args.stop <= 0.5 and 0 < args.step < math.inf
         if not ok or (args.stop - args.start) / args.step > MAX_SCAN_POINTS - 1:
             parser.error(
                 "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "

@@ -1,0 +1,201 @@
+"""The paper's scalar closed forms: information curves, key rates and
+thresholds, in pure Python.
+
+Everything is in bits.  The central building block is ``correlation_info``,
+the mutual information carried by a binary symmetric pair with correlation
+x; the Alice-Bob and Alice-Eve curves are scaled evaluations of it.
+
+Four named curves describe Eve's information as a function of the noise:
+
+==========  =====================================================
+honest      c22 = -(1-ε), forced when full tomography is possible
+maxent      c22 = -(1-ε)², the entropy-maximizing state
+minconc     feasibility-clipped minimizer of |c22| (best raw-data attack)
+hsw         collective-readout bound along the max-entropy locus
+==========  =====================================================
+
+The first three are c22 rules (``C22_RULES``); ``hsw`` has its own functional.
+This module imports no numpy, so the ``thresholds`` and ``scan`` commands
+start without it; ``analysis.max_entropy_c22`` checks the maxent rule
+numerically.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from .errors import NoSignChange, OutOfRange
+
+MAX_BISECTIONS = 64
+
+
+def correlation_info(x: float) -> float:
+    """(1/2)[(1-x)log2(1-x) + (1+x)log2(1+x)] on [0, 1].
+
+    Monotone increasing and convex, with value 0 at x=0 and 1 at x=1
+    (the x=1 limit is taken explicitly so thresholds near the branch
+    point never see NaN).
+    """
+    if not 0.0 <= x <= 1.0:
+        raise OutOfRange(f"x={x} outside [0, 1]")
+    low = 0.0 if x == 1.0 else 0.5 * (1 - x) * math.log2(1 - x)
+    return low + 0.5 * (1 + x) * math.log2(1 + x)
+
+
+def binary_entropy(p: float) -> float:
+    """Shannon entropy of a bit with bias p."""
+    if not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"p={p} outside [0, 1]")
+    if p in (0.0, 1.0):
+        return 0.0
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def mi_alice_bob(epsilon: float) -> float:
+    """Mutual information per pair between Alice and Bob on the raw data."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    return 0.5 * correlation_info(1 - epsilon)
+
+
+def mi_eve_analytic(c22: float) -> float:
+    """Eve's accessible information for a given c22, independent of ε.
+
+    Even in c22, maximal (1/2 bit) at c22 = 0, zero at c22 = ±1.
+    """
+    if not -1.0 <= c22 <= 1.0:
+        raise OutOfRange(f"c22={c22} outside [-1, 1]")
+    return 0.5 * correlation_info(math.sqrt(max(0.0, 1 - c22 * c22)))
+
+
+def optimal_c22(epsilon: float) -> float:
+    """The feasible c22 of smallest magnitude: -(1-2ε) for ε <= 1/2, else 0."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    return 2 * epsilon - 1 if epsilon <= 0.5 else 0.0
+
+
+def mi_eve_optimal(epsilon: float) -> float:
+    """Eve's accessible information after optimizing c22.
+
+    Equals (1/2)·correlation_info(2√(ε(1-ε))) below ε = 1/2 and saturates
+    at 1/2 bit beyond; continuous at the branch junction.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    if epsilon >= 0.5:
+        return 0.5
+    return 0.5 * correlation_info(2 * math.sqrt(epsilon * (1 - epsilon)))
+
+
+def hsw_optimal(epsilon: float) -> float:
+    """The collective-readout bound at the entropy-maximizing c22."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    return 1.0 - correlation_info(1 - epsilon)
+
+
+C22_RULES: dict[str, Callable[[float], float]] = {
+    "honest": lambda epsilon: -(1 - epsilon),
+    "maxent": lambda epsilon: -((1 - epsilon) ** 2),
+    "minconc": optimal_c22,
+}
+CURVES = (*C22_RULES, "hsw")
+
+
+def eve_curve(curve: str, epsilon: float) -> float:
+    """Eve's information along a named curve, for ε in the plot range [0, 1/2]."""
+    if curve not in CURVES:
+        raise ValueError(f"unknown curve {curve!r}; expected one of {sorted(CURVES)}")
+    if not 0.0 <= epsilon <= 0.5:
+        raise OutOfRange(f"epsilon={epsilon} outside [0, 1/2]")
+    if curve == "hsw":
+        return hsw_optimal(epsilon)
+    return mi_eve_analytic(C22_RULES[curve](epsilon))
+
+
+def key_rate(epsilon: float, curve: str) -> float:
+    """Distillable key rate I_AB - I_AE along a named curve; may be negative.
+
+    The sign change of this quantity locates the security threshold.
+    """
+    return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
+
+
+@dataclass(frozen=True)
+class ThresholdResult:
+    """A bisection root; ``converged`` says whether ``residual`` met the
+    tolerance, ``bracket_width`` is the final bracket's width."""
+
+    curve: str
+    epsilon_star: float
+    residual: float
+    iterations: int
+    converged: bool
+    bracket_width: float
+
+    @property
+    def qber(self) -> float:
+        return self.epsilon_star / 2
+
+
+def bisect_sign_change(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tolerance: float,
+) -> tuple[float, float, int, bool, float]:
+    """Bisection on a sign change of ``f`` over [lo, hi].
+
+    Returns (root, |f(root)|, iterations, converged, bracket width):
+    ``converged`` says whether |f(root)| <= ``tolerance``, and the width is
+    that of the last bracket around the root (0 for an exact root at an
+    end).  The bracket is validated before iterating; ``NoSignChange`` is
+    raised if both ends share a sign.
+    Bisection is used deliberately: the information curves have divergent
+    slope near the branch points and robustness beats speed here.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo, 0.0, 0, True, 0.0
+    if fhi == 0.0:
+        return hi, 0.0, 0, True, 0.0
+    if (flo > 0.0) == (fhi > 0.0):
+        raise NoSignChange(
+            f"f({lo})={flo:.3e} and f({hi})={fhi:.3e} have the same sign"
+        )
+    mid, fmid, it = lo, flo, 0
+    for it in range(1, MAX_BISECTIONS + 1):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if abs(fmid) <= tolerance:
+            break
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return mid, abs(fmid), it, abs(fmid) <= tolerance, hi - lo
+
+
+def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
+    """Noise value where Alice-Bob information crosses Eve's curve."""
+    if not 1e-12 <= tolerance <= 1e-3:
+        raise OutOfRange(f"tolerance={tolerance} outside [1e-12, 1e-3]")
+    root, residual, iterations, converged, width = bisect_sign_change(
+        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
+    )
+    return ThresholdResult(curve, root, residual, iterations, converged, width)
+
+
+def scan_curves(grid) -> list[tuple[float, ...]]:
+    """Evaluate all five information curves on an ε grid within [0, 1/2].
+
+    Each row is (ε, I_AB, then Eve's information on each ``CURVES`` entry in
+    order: honest, maxent, minconc, hsw).
+    """
+    return [
+        (e, mi_alice_bob(e), *(eve_curve(curve, e) for curve in CURVES))
+        for e in map(float, grid)
+    ]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OptimizerConfig
 from .errors import DimensionMismatch, OutOfRange
 from .infotheory import mutual_information
 from .linalg import _hermitian_part, dagger, dyads, square_stack
@@ -29,9 +30,6 @@ POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 # A restart stops once its tangent gradient's norm falls to this.
 STATIONARY_TOL = 1e-5
-# The whole restart batch is held in memory: peak RSS grows about 27 KiB
-# per restart (1000 restarts, 100 iterations, ε = 0.3, c22 = −0.5).
-MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -141,23 +139,6 @@ def canonical_optimal_povm(point: FamilyPoint) -> Povm:
     """
     m = analytic_povm(point)
     return convex_combine(m, conjugate_povm(m), 0.5)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for the numerical search; defaults suit four-state ensembles.
-
-    ``restarts`` lies in [1, ``MAX_RESTARTS``].  A restart stops once its
-    tangent gradient's norm is at most ``STATIONARY_TOL``, or after
-    ``max_iterations`` (>= 1) iterations.  The outcome count is not a
-    knob: each measurement has d² rank-one outcomes, d the dimension of the
-    ensemble's states, and these attain the accessible information
-    (Davies, IEEE TIT 24, 596, 1978).
-    """
-
-    restarts: int = 8
-    max_iterations: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -386,12 +367,6 @@ def optimize_povm(
     further pass, so the outcome is deterministic and ``iterations`` is
     the batch's count.
     """
-    if not 1 <= cfg.restarts <= MAX_RESTARTS:
-        raise OutOfRange(f"restarts={cfg.restarts} outside [1, {MAX_RESTARTS}]")
-    if cfg.max_iterations < 1:
-        raise OutOfRange(f"max_iterations={cfg.max_iterations} must be >= 1")
-    if cfg.seed < 0:
-        raise OutOfRange(f"seed={cfg.seed} must be >= 0")
     states, priors = ensemble.states, ensemble.priors
     d = states.shape[-1]
 

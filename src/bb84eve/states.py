@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_SAMPLES, require_int
 from .errors import DimensionMismatch, InfeasiblePoint, OutOfRange
 from .linalg import PAULI, bell_basis, dyads, require_psd, sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
 FEASIBILITY_SLACK = 1e-12
-MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 ZERO_WEIGHT = 1e-12
 MARGINAL_SLACK = 1e-9
 
@@ -227,12 +227,12 @@ def joint_table(rho: np.ndarray) -> np.ndarray:
 def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:
     """Empirical joint table from n i.i.d. measurement rounds.
 
-    Deterministic for a fixed seed; every call owns its generator.
+    Deterministic for a fixed seed; every call owns its generator.  ``n``
+    must be an integer in [1, ``MAX_SAMPLES``] and ``seed`` one >= 0, or
+    ``OutOfRange`` is raised.
     """
-    if not 1 <= n <= MAX_SAMPLES:
-        raise OutOfRange(f"sample count n={n} outside [1, {MAX_SAMPLES}]")
-    if seed < 0:
-        raise OutOfRange(f"seed={seed} must be >= 0")
+    require_int("n", n, 1, MAX_SAMPLES)
+    require_int("seed", seed, 0)
     p = joint_table(bell_diagonal_state(point))
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p.ravel()).reshape(4, 4)

@@ -15,7 +15,7 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
-from bb84eve.analysis import C22_RULES, bisect_sign_change
+from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
 
 EXPECTED_THRESHOLDS = {
@@ -167,3 +167,15 @@ def test_nonsymmetric_search_rejects_negative_seed(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     with pytest.raises(OutOfRange):
         nonsymmetric_search(0.25, trials=2, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "trials, seed", [(2.5, 1), (2.0, 1), (True, 1), (2, np.nan), (2, 1.5), (2, np.inf)]
+)
+def test_nonsymmetric_search_rejects_non_integer_trials_or_seed(monkeypatch, trials, seed):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw may be made")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(OutOfRange):
+        nonsymmetric_search(0.25, trials=trials, seed=seed)

@@ -3,10 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from bb84eve import analysis, cli, povm, states
+from bb84eve import analysis, cli, config, povm, states
 from bb84eve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,7 +99,7 @@ def test_scan_rejects_nonfinite_or_oversized_step(capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the grid must not be built")
 
-    monkeypatch.setattr(np, "arange", no_grid)
+    monkeypatch.setattr(cli, "cmd_scan", no_grid)
     for step in ("nan", "inf", "-inf", "1e-9", "5e-324"):
         with pytest.raises(SystemExit) as err:
             main(["scan", "--start", "0", "--stop", "0.5", "--step", step])
@@ -188,7 +187,7 @@ def no_optimizer_start(monkeypatch):
 
 def test_povm_check_bad_restarts_exit_two(capsys, monkeypatch):
     no_optimizer_start(monkeypatch)
-    for restarts in ("0", str(povm.MAX_RESTARTS + 1)):
+    for restarts in ("0", str(config.MAX_RESTARTS + 1)):
         with pytest.raises(SystemExit) as err:
             main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
                   "--optimize", "--restarts", restarts])
@@ -225,7 +224,7 @@ def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
         ["search-nonsym", "--epsilon", "0.3", "--trials", "0"],
         ["search-nonsym", "--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
         ["search-nonsym", "--epsilon", "0.3", "--trials", "2",
-         "--restarts", str(povm.MAX_RESTARTS + 1)],
+         "--restarts", str(config.MAX_RESTARTS + 1)],
         ["search-nonsym", "--epsilon", "0.25", "--trials", "2",
          "--max-iterations", "-5"],
     ):
@@ -266,6 +265,31 @@ def test_help_exits_zero():
         )
         assert proc.returncode == 0
         assert "--out" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["thresholds", "--all"], "thresholds_all.json"),
+        (["scan", "--start", "0", "--stop", "0.5", "--step", "0.005"],
+         "scan_0_0.5_0.005.csv"),
+    ],
+)
+def test_closed_form_commands_never_import_numpy(argv, golden):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bb84eve.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "bb84eve.curves" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 def test_imports_load_no_scipy():

@@ -101,6 +101,8 @@ def test_mutual_information_validation():
         mutual_information(np.array([[0.5, 0.2], [0.2, 0.2]]))
     with pytest.raises(NotNormalized):
         mutual_information(np.array([[-0.1, 0.6], [0.3, 0.2]]))
+    with pytest.raises(NotNormalized):
+        mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
 
 def test_hsw_bound_trivial_cases():

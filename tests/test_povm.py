@@ -17,6 +17,7 @@ from bb84eve import (
     optimize_povm,
     validate_povm,
 )
+from bb84eve.config import MAX_RESTARTS
 from bb84eve.errors import (
     DimensionMismatch,
     InfeasiblePoint,
@@ -25,7 +26,6 @@ from bb84eve.errors import (
 )
 from bb84eve import povm as povm_mod
 from bb84eve.povm import (
-    MAX_RESTARTS,
     STATIONARY_TOL,
     _backtrack,
     _batch_info_and_ratios,
@@ -263,6 +263,30 @@ def test_optimizer_config_validation(monkeypatch):
     for bad in (0, -5):
         with pytest.raises(OutOfRange):
             optimize_povm(ens, OptimizerConfig(max_iterations=bad))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("restarts", 0),
+        ("restarts", MAX_RESTARTS + 1),
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("restarts", "8"),
+        ("max_iterations", 0),
+        ("max_iterations", np.inf),
+        ("max_iterations", 10.0),
+        ("seed", -1),
+        ("seed", np.nan),
+        ("seed", 1.5),
+    ],
+)
+def test_optimizer_config_checks_its_own_fields(field, bad):
+    # an infinite cap never stops a restart that is not stationary, and a
+    # fractional or NaN count or seed has no meaning
+    with pytest.raises(OutOfRange, match=field):
+        OptimizerConfig(**{field: bad})
+    OptimizerConfig(**{field: np.int64(8)})  # a numpy integer is an integer
 
 
 def test_optimizer_rejects_negative_seed(monkeypatch):

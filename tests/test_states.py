@@ -258,6 +258,15 @@ def test_simulate_raw_data_rejects_negative_seed():
         simulate_raw_data(FamilyPoint(0.2, -0.6), 10, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "n, seed", [(2.5, 3), (1000.0, 3), (True, 3), (10, np.nan), (10, 1.5), (10, False)]
+)
+def test_simulate_raw_data_rejects_non_integer_count_or_seed(n, seed):
+    # counts / n with a fractional n is no probability table (2.5 sums to 0.8)
+    with pytest.raises(OutOfRange):
+        simulate_raw_data(FamilyPoint(0.2, -0.6), n, seed)
+
+
 def test_simulate_raw_data_rejects_count_beyond_int64(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("no sample may be drawn")
