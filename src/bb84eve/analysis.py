@@ -1,15 +1,13 @@
 """The max-entropy locus and the nonsymmetric-state search.
 
 ``max_entropy_c22`` checks the maxent rule of ``curves.C22_RULES``
-numerically with Brent's search, and ``nonsymmetric_search`` probes the
-symmetry conjecture behind ``curves.mi_eve_optimal``.
+numerically by refining a bracket on stacked entropy evaluations, and
+``nonsymmetric_search`` probes the symmetry conjecture behind
+``curves.mi_eve_optimal``.
 """
 
 from __future__ import annotations
 
-import math
-import sys
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,65 +25,38 @@ from .states import (
     general_state,
 )
 
-_GOLDEN = (3 - math.sqrt(5)) / 2
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
-
-
-def _brent_argmax(
-    f: Callable[[float], float], a: float, b: float, tolerance: float = 1e-8
-) -> float:
-    """Maximizer of a unimodal ``f`` on [a, b] by Brent's method: parabolic
-    steps with a golden-section fallback (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 5), to within √eps·|x| + ``tolerance``.
-    """
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tolerance / 3
-        if abs(x - m) <= 2 * tol1 - 0.5 * (b - a):
-            return x
-        p = q = r = 0.0
-        if abs(e) > tol1:  # parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2 * (q - r)
-            p, q = (-p, q) if q > 0 else (p, -q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < 2 * tol1 or b - x - d < 2 * tol1:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu >= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+_GRID = 33  # states per stacked entropy evaluation
+_ROUNDS = 3
 
 
 def max_entropy_c22(epsilon: float) -> float:
-    """Numerically maximize the state entropy (concave in c22) over the feasible c22."""
+    """The feasible c22 of largest state entropy (concave in c22), found numerically.
+
+    Each of ``_ROUNDS`` rounds takes the entropies of ``_GRID`` evenly spaced
+    states in one call and keeps the two grid cells around the best one; the
+    state is affine in c22, so each grid state mixes the two end states.  The
+    vertex of the parabola through the last best point and its neighbours is
+    returned, clipped to them, or the best point if the parabola is not concave.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
     lo, hi = -1.0, 2 * epsilon - 1
     if hi - lo < 1e-9:
         return -1.0
-
-    def entropy(c22: float) -> float:
-        return von_neumann_entropy(bell_diagonal_state(FamilyPoint(epsilon, c22)))
-
-    return _brent_argmax(entropy, lo, hi)
+    start = bell_diagonal_state(FamilyPoint(epsilon, lo))
+    step = (bell_diagonal_state(FamilyPoint(epsilon, hi)) - start) / (hi - lo)
+    a, b = lo, hi
+    for _ in range(_ROUNDS):
+        c = np.linspace(a, b, _GRID)
+        s = von_neumann_entropy(start + (c - lo)[:, None, None] * step)
+        best = int(np.argmax(s))
+        k = min(max(best, 1), _GRID - 2)
+        a, b = c[k - 1], c[k + 1]
+    curvature = s[k - 1] - 2 * s[k] + s[k + 1]
+    if curvature >= 0:
+        return float(c[best])
+    vertex = c[k] + 0.5 * (c[k] - a) * (s[k - 1] - s[k + 1]) / curvature
+    return float(min(max(vertex, a), b))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ def hsw_bound(ensemble: AncillaEnsemble) -> float:
 
     S(average state) minus the prior-weighted average member entropy.
     """
-    s = von_neumann_entropy(np.insert(ensemble.states, 0, ensemble.average_state(), 0))
+    avg = ensemble.average_state()
+    s = von_neumann_entropy(np.concatenate((avg[None], ensemble.states)))
     return float(s[0] - ensemble.priors @ s[1:])
 
 

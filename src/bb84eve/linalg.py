@@ -39,12 +39,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
+def require_finite(m, dtype=None) -> np.ndarray:
+    """``m`` as an array of ``dtype``; raises ``ValueError`` on a NaN or
+    infinite entry."""
+    m = np.asarray(m, dtype=dtype)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks:
     finite entries and a Hermiticity defect of at most ``HERMITICITY_TOL``."""
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = require_finite(m, complex)
     adj = dagger(m)
     defect = np.abs(m - adj).max()
     if defect > HERMITICITY_TOL:
@@ -103,9 +110,10 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     """Trace out one tensor factor of an operator on H_A ⊗ H_B.
 
     ``dims`` is (dim_A, dim_B); ``keep`` selects the surviving factor,
-    0 for the first, 1 for the second.
+    0 for the first, 1 for the second.  Raises ``ValueError`` on a
+    non-finite entry.
     """
-    m = np.asarray(m)
+    m = require_finite(m)
     da, db = dims
     if m.ndim != 2 or m.shape != (da * db, da * db):
         raise DimensionMismatch(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import MAX_SAMPLES, require_int
 from .errors import DimensionMismatch, InfeasiblePoint, OutOfRange
-from .linalg import PAULI, bell_basis, dyads, require_psd, sqrt_psd, square_stack
+from .linalg import PAULI, bell_basis, dyads, require_finite, require_psd
+from .linalg import sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
@@ -81,8 +82,8 @@ class AncillaEnsemble:
 
 
 def two_qubit_operator(m) -> np.ndarray:
-    """``m`` as a complex two-qubit (4, 4) operator."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a complex two-qubit (4, 4) operator with finite entries."""
+    m = require_finite(m, complex)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"shape {m.shape} is not a two-qubit (4x4) operator")
     return m
@@ -94,8 +95,8 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
 
 
 def state_from_pauli(c: np.ndarray) -> np.ndarray:
-    """Assemble (1/4) Σ c[j,k] σ_j ⊗ σ_k from a real 4x4 coefficient array."""
-    c = np.asarray(c, dtype=float)
+    """Assemble (1/4) Σ c[j,k] σ_j ⊗ σ_k from a finite real 4x4 array."""
+    c = require_finite(c, float)
     if c.shape != (4, 4):
         raise DimensionMismatch("coefficient array must be 4x4")
     return np.einsum("jk,jkmn->mn", c, _PAULI_PAIRS) / 4

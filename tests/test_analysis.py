@@ -108,6 +108,12 @@ def test_max_entropy_c22_matches_closed_form():
         assert abs(max_entropy_c22(float(eps)) + (1 - eps) ** 2) <= 1e-6
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, -0.1, 1.1])
+def test_max_entropy_c22_rejects_epsilon_outside_unit_interval(epsilon):
+    with pytest.raises(OutOfRange):
+        max_entropy_c22(epsilon)
+
+
 def test_max_entropy_c22_is_the_argmax():
     eps = 0.4
     best = max_entropy_c22(eps)

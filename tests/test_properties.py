@@ -5,6 +5,7 @@ feasible triangle -1 <= c22 <= 2ε - 1, edges and corners included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +22,7 @@ from bb84eve import (
     general_state,
     hsw_bound,
     joint_table,
+    max_entropy_c22,
     optimal_c22,
     partial_trace,
     pauli_coefficients,
@@ -30,7 +32,7 @@ from bb84eve import (
 )
 from bb84eve.errors import NotPositive
 from bb84eve.povm import COMPLETENESS_TOL
-from bb84eve.states import ZERO_WEIGHT, bell_weights
+from bb84eve.states import ZERO_WEIGHT, bell_weights, two_qubit_operator
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -215,3 +217,42 @@ def test_pauli_round_trip(rho):
 def test_stack_entropy_equals_per_matrix_entropies(stack):
     each = [von_neumann_entropy(rho) for rho in stack]
     assert np.max(np.abs(von_neumann_entropy(stack) - each)) <= 1e-12
+
+
+@PROPERTY
+@given(unit)
+@example(1e-9)
+@example(1e-6)
+@example(1e-4)
+@example(1 - 1e-9)
+def test_max_entropy_c22_feasible_and_on_closed_form(epsilon):
+    c22 = max_entropy_c22(epsilon)
+    assert -1 <= c22 <= 2 * epsilon - 1
+    assert abs(c22 + (1 - epsilon) ** 2) <= 2e-8
+
+
+# Each entry: a valid input made from a density, and the call that must
+# reject it once one of its entries is NaN or infinite.
+NON_FINITE_CALLS = {
+    "two_qubit_operator": (lambda rho: rho, two_qubit_operator),
+    "joint_table": (lambda rho: rho, joint_table),
+    "pauli_coefficients": (lambda rho: rho, pauli_coefficients),
+    "state_from_pauli": (pauli_coefficients, state_from_pauli),
+    "partial_trace": (lambda rho: rho, lambda m: partial_trace(m, (2, 2), keep=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+@PROPERTY
+@given(
+    densities(),
+    st.integers(0, 15),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.booleans(),
+)
+def test_non_finite_entry_rejected(name, rho, index, bad, imaginary):
+    make, call = NON_FINITE_CALLS[name]
+    m = make(rho)
+    m.flat[index] = complex(0, bad) if imaginary and np.iscomplexobj(m) else bad
+    with pytest.raises(ValueError):
+        call(m)
