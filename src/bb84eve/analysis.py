@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SEARCH_OPTIMIZER, OptimizerConfig, require_int
+from .config import SEARCH_OPTIMIZER, OptimizerConfig, require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
 from .curves import mi_eve_optimal, optimal_c22
-from .errors import NotPositive, OutOfRange
+from .errors import NotPositive
 from .linalg import von_neumann_entropy
 from .povm import optimize_povm
 from .states import (
@@ -38,8 +38,7 @@ def max_entropy_c22(epsilon: float) -> float:
     vertex of the parabola through the last best point and its neighbours is
     returned, clipped to them, or the best point if the parabola is not concave.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     lo, hi = -1.0, 2 * epsilon - 1
     if hi - lo < 1e-9:
         return -1.0
@@ -95,8 +94,7 @@ def nonsymmetric_search(
     best value found is reported against the symmetric optimum.  Each trial
     runs ``optimizer`` with its ``seed`` replaced by one drawn from ``seed``.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)
 

@@ -56,13 +56,14 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _int_in(lo: int, hi: int | None = None):
-    """The type of an integer flag: an int >= ``lo``, and <= ``hi`` if given."""
+    """The type of an integer flag: ``int(text)`` that passes ``config.require_int``."""
 
     def integer(text: str) -> int:
         value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        try:
+            config.require_int("value", value, lo, hi)
+        except OutOfRange as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return integer

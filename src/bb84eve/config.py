@@ -1,4 +1,4 @@
-"""Optimizer settings, sample limits and the integer check they share.
+"""Optimizer settings, sample limits, and the interval and integer checks.
 
 The command-line parser reads these for its flag bounds and defaults, and
 none of them needs numpy, so they live apart from the numeric modules.
@@ -15,6 +15,12 @@ from .errors import OutOfRange
 # per restart (1000 restarts, 100 iterations, ε = 0.3, c22 = −0.5).
 MAX_RESTARTS = 1000
 MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
+
+
+def require_in(name: str, value, lo, hi) -> None:
+    """Raise ``OutOfRange`` unless ``lo <= value <= hi``; NaN never is."""
+    if not lo <= value <= hi:
+        raise OutOfRange(f"{name}={value} outside [{lo}, {hi}]")
 
 
 def require_int(name: str, value, lo: int, hi: int | None = None) -> None:

@@ -26,7 +26,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import NoSignChange, OutOfRange
+from .config import require_in
+from .errors import NoSignChange
 
 MAX_BISECTIONS = 64
 
@@ -38,16 +39,14 @@ def correlation_info(x: float) -> float:
     (the x=1 limit is taken explicitly so thresholds near the branch
     point never see NaN).
     """
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"x={x} outside [0, 1]")
+    require_in("x", x, 0, 1)
     low = 0.0 if x == 1.0 else 0.5 * (1 - x) * math.log2(1 - x)
     return low + 0.5 * (1 + x) * math.log2(1 + x)
 
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a bit with bias p."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p={p} outside [0, 1]")
+    require_in("p", p, 0, 1)
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -55,8 +54,7 @@ def binary_entropy(p: float) -> float:
 
 def mi_alice_bob(epsilon: float) -> float:
     """Mutual information per pair between Alice and Bob on the raw data."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     return 0.5 * correlation_info(1 - epsilon)
 
 
@@ -65,15 +63,13 @@ def mi_eve_analytic(c22: float) -> float:
 
     Even in c22, maximal (1/2 bit) at c22 = 0, zero at c22 = ±1.
     """
-    if not -1.0 <= c22 <= 1.0:
-        raise OutOfRange(f"c22={c22} outside [-1, 1]")
+    require_in("c22", c22, -1, 1)
     return 0.5 * correlation_info(math.sqrt(max(0.0, 1 - c22 * c22)))
 
 
 def optimal_c22(epsilon: float) -> float:
     """The feasible c22 of smallest magnitude: -(1-2ε) for ε <= 1/2, else 0."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     return 2 * epsilon - 1 if epsilon <= 0.5 else 0.0
 
 
@@ -83,8 +79,7 @@ def mi_eve_optimal(epsilon: float) -> float:
     Equals (1/2)·correlation_info(2√(ε(1-ε))) below ε = 1/2 and saturates
     at 1/2 bit beyond; continuous at the branch junction.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     if epsilon >= 0.5:
         return 0.5
     return 0.5 * correlation_info(2 * math.sqrt(epsilon * (1 - epsilon)))
@@ -92,8 +87,7 @@ def mi_eve_optimal(epsilon: float) -> float:
 
 def hsw_optimal(epsilon: float) -> float:
     """The collective-readout bound at the entropy-maximizing c22."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     return 1.0 - correlation_info(1 - epsilon)
 
 
@@ -109,8 +103,7 @@ def eve_curve(curve: str, epsilon: float) -> float:
     """Eve's information along a named curve, for ε in the plot range [0, 1/2]."""
     if curve not in CURVES:
         raise ValueError(f"unknown curve {curve!r}; expected one of {sorted(CURVES)}")
-    if not 0.0 <= epsilon <= 0.5:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1/2]")
+    require_in("epsilon", epsilon, 0, 0.5)
     if curve == "hsw":
         return hsw_optimal(epsilon)
     return mi_eve_analytic(C22_RULES[curve](epsilon))
@@ -181,8 +174,7 @@ def bisect_sign_change(
 
 def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
     """Noise value where Alice-Bob information crosses Eve's curve."""
-    if not 1e-12 <= tolerance <= 1e-3:
-        raise OutOfRange(f"tolerance={tolerance} outside [1e-12, 1e-3]")
+    require_in("tolerance", tolerance, 1e-12, 1e-3)
     root, residual, iterations, converged, width = bisect_sign_change(
         lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
     )

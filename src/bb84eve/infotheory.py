@@ -28,7 +28,7 @@ def mutual_information(table: np.ndarray) -> float:
         raise NotNormalized(f"negative entry {p.min():.3e}")
     total = p.sum()
     if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-        raise NotNormalized(f"entries sum to {total!r}, not 1")
+        raise NotNormalized(f"entries sum to {float(total)}, not 1")
     marg = np.outer(p.sum(axis=1), p.sum(axis=0))
     mask = p > 0
     return float((p[mask] * np.log2(p[mask] / marg[mask])).sum())

@@ -94,8 +94,9 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 
 def square_stack(m) -> np.ndarray:
-    """``m`` as a complex stack (n, d, d) of n >= 1 square matrices."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a complex stack (n, d, d) of n >= 1 square matrices; raises
+    like ``require_finite`` on a non-finite entry."""
+    m = require_finite(m, complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or not len(m):
         raise DimensionMismatch(f"shape {m.shape} is not a stack (n, d, d), n >= 1")
     return m

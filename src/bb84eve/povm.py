@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OptimizerConfig
-from .errors import DimensionMismatch, OutOfRange
+from .config import OptimizerConfig, require_in
+from .errors import DimensionMismatch
 from .infotheory import mutual_information
-from .linalg import _hermitian_part, dagger, dyads, square_stack
+from .linalg import _hermitian_part, dagger, dyads, require_psd, square_stack
 from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 
-POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 # A restart stops once its tangent gradient's norm falls to this.
 STATIONARY_TOL = 1e-5
@@ -54,12 +53,11 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     on ``support``.
 
     ``support`` defaults to the full identity; pass the projector onto a
-    subspace for measurements defined only there.  A non-finite or
-    non-Hermitian element raises like ``linalg.eig_hermitian`` does.
+    subspace for measurements defined only there.  A non-Hermitian element
+    raises ``NotHermitian``, a negative one ``NotPositive`` (as
+    ``linalg.require_psd`` does), and an incomplete set ``ValueError``.
     """
-    w = np.linalg.eigvalsh(_hermitian_part(povm.elements))[:, 0]
-    if w.min() < -POSITIVITY_TOL:
-        raise ValueError(f"element {w.argmin()} has negative eigenvalue {w.min():.3e}")
+    require_psd(np.linalg.eigvalsh(_hermitian_part(povm.elements)))
     target = np.eye(povm.dim) if support is None else support
     defect = float(np.max(np.abs(povm.total() - target)))
     if defect > COMPLETENESS_TOL:
@@ -124,8 +122,7 @@ def conjugate_povm(m: Povm) -> Povm:
 
 def convex_combine(m1: Povm, m2: Povm, weight: float) -> Povm:
     """Outcome-wise mixture weight·m1 + (1-weight)·m2."""
-    if not 0.0 <= weight <= 1.0:
-        raise OutOfRange(f"weight={weight} outside [0, 1]")
+    require_in("weight", weight, 0, 1)
     if m1.elements.shape != m2.elements.shape:
         raise DimensionMismatch("POVMs must share outcome count and dimension")
     return Povm(weight * m1.elements + (1 - weight) * m2.elements)

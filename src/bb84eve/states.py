@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_SAMPLES, require_int
-from .errors import DimensionMismatch, InfeasiblePoint, OutOfRange
+from .config import MAX_SAMPLES, require_in, require_int
+from .errors import DimensionMismatch, InfeasiblePoint, NotNormalized, OutOfRange
 from .linalg import PAULI, bell_basis, dyads, require_finite, require_psd
-from .linalg import sqrt_psd, square_stack
+from .linalg import _hermitian_part, sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
 FEASIBILITY_SLACK = 1e-12
 ZERO_WEIGHT = 1e-12
-MARGINAL_SLACK = 1e-9
+# Alice's marginals and each ensemble state's trace, to within this.
+NORMALIZATION_SLACK = 1e-9
 
 _BELL = bell_basis()
 _BELL_PROJECTORS = dyads(_BELL)
@@ -66,12 +67,24 @@ class FamilyPoint:
 
 @dataclass(frozen=True)
 class AncillaEnsemble:
-    """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack."""
+    """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack.
+
+    Construction checks that every state is a density operator: finite
+    entries (else ``ValueError``), Hermitian (``NotHermitian``), positive
+    (``NotPositive``, as ``require_psd``) and of unit trace within
+    ``NORMALIZATION_SLACK`` (``NotNormalized``).
+    """
 
     states: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "states", square_stack(self.states))
+        states = square_stack(self.states)
+        w = np.linalg.eigvalsh(_hermitian_part(states))
+        require_psd(w)
+        traces = w.sum(axis=1)
+        if np.abs(traces - 1).max() > NORMALIZATION_SLACK:
+            raise NotNormalized(f"state traces {traces.tolist()} are not all 1")
+        object.__setattr__(self, "states", states)
 
     @property
     def priors(self) -> np.ndarray:
@@ -115,8 +128,7 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
 
 def unbiased_noise_state(epsilon: float) -> np.ndarray:
     """(1-ε)·singlet + ε/4·identity, the state Alice and Bob test for."""
-    if not 0 <= epsilon <= 1:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     return (1 - epsilon) * _BELL_PROJECTORS[0] + epsilon / 4 * np.eye(4)
 
 
@@ -147,12 +159,10 @@ def general_state(
     is by eigenvalue.  Raises ``NotPositive`` (with the offending eigenvalue)
     if the choice is unphysical.
     """
-    if not 0 <= epsilon <= 1:
-        raise OutOfRange(f"epsilon={epsilon} outside [0, 1]")
+    require_in("epsilon", epsilon, 0, 1)
     free = (c02, c20, c12, c21, c22, c23, c32)
     for name, value in zip(_FREE_NAMES, free):
-        if not -1 <= value <= 1:
-            raise OutOfRange(f"{name}={value} outside [-1, 1]")
+        require_in(name, value, -1, 1)
     c = np.zeros((4, 4))
     c[0, 0] = 1.0
     c[1, 1] = c[3, 3] = -(1 - epsilon)
@@ -191,7 +201,7 @@ def _conditioned(psi: np.ndarray) -> AncillaEnsemble:
     cond = v.swapaxes(1, 2) @ v.conj()  # sum over Bob of |v_b><v_b| on E
     p = np.einsum("lii->l", cond).real  # Alice's outcome probabilities
     for label, pl in zip(OUTCOMES, p.tolist()):
-        if not abs(pl - 0.5) <= MARGINAL_SLACK:
+        if not abs(pl - 0.5) <= NORMALIZATION_SLACK:
             raise OutOfRange(f"Alice's {label} probability {pl:.6g} is not 1/2")
     return AncillaEnsemble(cond / p[:, None, None])
 

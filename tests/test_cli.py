@@ -138,7 +138,14 @@ def test_table_infeasible_point_exits_one(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("count", ["-5", "100000000000000000000"])
+# an integer flag's bound and its message are config.require_int's
+SIMULATE_BOUND = f"must be an integer in [0, {config.MAX_SAMPLES}]"
+RESTARTS_BOUND = f"must be an integer in [1, {config.MAX_RESTARTS}]"
+
+
+@pytest.mark.parametrize(
+    "count", ["-1", "-5", str(config.MAX_SAMPLES + 1), "100000000000000000000"]
+)
 def test_table_bad_simulate_exits_two(capsys, monkeypatch, count):
     def no_draw(*args, **kwargs):
         raise AssertionError("no sample may be drawn")
@@ -147,7 +154,8 @@ def test_table_bad_simulate_exits_two(capsys, monkeypatch, count):
     with pytest.raises(SystemExit) as err:
         main(["table", "--epsilon", "0.2", "--simulate", count])
     assert err.value.code == 2
-    assert "--simulate" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"argument --simulate: value={count} {SIMULATE_BOUND}" in stderr
 
 
 def test_povm_check_interior(capsys):
@@ -192,6 +200,7 @@ def test_povm_check_bad_restarts_exit_two(capsys, monkeypatch):
             main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
                   "--optimize", "--restarts", restarts])
         assert err.value.code == 2
+        assert f"value={restarts} {RESTARTS_BOUND}" in capsys.readouterr().err
 
 
 def test_search_nonsym_report_and_determinism(capsys):
@@ -219,18 +228,23 @@ def test_search_nonsym_one_trial(capsys):
 
 def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
     no_optimizer_start(monkeypatch)
-    for argv in (
-        ["search-nonsym", "--epsilon", "0", "--trials", "5"],
-        ["search-nonsym", "--epsilon", "0.3", "--trials", "0"],
-        ["search-nonsym", "--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
-        ["search-nonsym", "--epsilon", "0.3", "--trials", "2",
-         "--restarts", str(config.MAX_RESTARTS + 1)],
-        ["search-nonsym", "--epsilon", "0.25", "--trials", "2",
-         "--max-iterations", "-5"],
+    too_many = str(config.MAX_RESTARTS + 1)
+    for argv, message in (
+        (["--epsilon", "0", "--trials", "5"], "--epsilon must be in (0, 1]"),
+        (["--epsilon", "0.3", "--trials", "0"], "value=0 must be an integer >= 1"),
+        (["--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
+         f"value=0 {RESTARTS_BOUND}"),
+        (["--epsilon", "0.3", "--trials", "2", "--restarts", too_many],
+         f"value={too_many} {RESTARTS_BOUND}"),
+        (["--epsilon", "0.25", "--trials", "2", "--max-iterations", "0"],
+         "argument --max-iterations: value=0 must be an integer >= 1"),
+        (["--epsilon", "0.25", "--trials", "2", "--max-iterations", "-5"],
+         "argument --max-iterations: value=-5 must be an integer >= 1"),
     ):
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(["search-nonsym", *argv])
         assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,7 +258,8 @@ def test_negative_seed_exits_two(capsys, monkeypatch, argv):
     with pytest.raises(SystemExit) as err:
         main([*argv, "--seed", "-1"])
     assert err.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "argument --seed: value=-1 must be an integer >= 0" in stderr
 
 
 def test_optimizer_flag_defaults_are_the_library_defaults():

@@ -101,7 +101,7 @@ def test_mutual_information_validation():
         mutual_information(np.array([[0.5, 0.2], [0.2, 0.2]]))
     with pytest.raises(NotNormalized):
         mutual_information(np.array([[-0.1, 0.6], [0.3, 0.2]]))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized, match=r"^entries sum to nan, not 1$"):
         mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
 

@@ -22,6 +22,8 @@ from bb84eve.errors import (
     DimensionMismatch,
     InfeasiblePoint,
     NotHermitian,
+    NotNormalized,
+    NotPositive,
     OutOfRange,
 )
 from bb84eve import povm as povm_mod
@@ -90,9 +92,30 @@ def test_validate_povm_rejects_non_hermitian_and_non_finite():
         validate_povm(Povm((np.eye(2) / 2 + b, np.eye(2) / 2 - b)))
     bad = np.eye(2) / 2
     bad[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        validate_povm(Povm((bad, np.eye(2) / 2)))
+    with pytest.raises(ValueError, match="finite"):
+        Povm((bad, np.eye(2) / 2))  # rejected when built
+    # complete, Hermitian, but one element has eigenvalue -0.1
+    with pytest.raises(NotPositive):
+        validate_povm(Povm((np.diag([1.1, 0.5]), np.diag([-0.1, 0.5]))))
 
+
+# unit trace, but with an antisymmetric part
+_SKEWED = np.eye(4) / 4 + 0.1 * (np.eye(4, k=1) - np.eye(4, k=-1))
+
+
+@pytest.mark.parametrize(
+    "states, error",
+    [
+        (np.stack([-np.eye(4) / 4] * 4), NotPositive),
+        (np.stack([np.eye(4) / 4] * 3 + [_SKEWED]), NotHermitian),
+        (np.full((4, 4, 4), np.nan), ValueError),
+        (np.stack([np.eye(4) / 2] * 4), NotNormalized),
+    ],
+    ids=["negative", "non-hermitian", "nan", "trace-two"],
+)
+def test_ancilla_ensemble_holds_density_operators(states, error):
+    with pytest.raises(error):
+        AncillaEnsemble(states)
 
 def test_accessible_info_single_outcome_is_zero():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))

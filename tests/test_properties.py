@@ -4,6 +4,8 @@ Points are drawn as (ε, t) with c22 = -1 + 2εt, which covers the whole
 feasible triangle -1 <= c22 <= 2ε - 1, edges and corners included.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,28 +13,40 @@ from hypothesis.extra.numpy import arrays
 
 from bb84eve import (
     FamilyPoint,
+    OptimizerConfig,
     accessible_info,
     analytic_povm,
     bell_basis,
     bell_diagonal_state,
+    binary_entropy,
     concurrence,
     conditioned_ancilla,
     conditioned_ancilla_from_state,
     conjugate_povm,
+    convex_combine,
+    correlation_info,
+    eve_curve,
+    find_threshold,
     general_state,
     hsw_bound,
+    hsw_optimal,
     joint_table,
     max_entropy_c22,
+    mi_alice_bob,
+    mi_eve_analytic,
+    mi_eve_optimal,
+    nonsymmetric_search,
     optimal_c22,
     partial_trace,
     pauli_coefficients,
     purification,
     state_from_pauli,
+    unbiased_noise_state,
     von_neumann_entropy,
 )
-from bb84eve.errors import NotPositive
+from bb84eve.errors import NotPositive, OutOfRange
 from bb84eve.povm import COMPLETENESS_TOL
-from bb84eve.states import ZERO_WEIGHT, bell_weights, two_qubit_operator
+from bb84eve.states import _FREE_NAMES, ZERO_WEIGHT, bell_weights, two_qubit_operator
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -256,3 +270,61 @@ def test_non_finite_entry_rejected(name, rho, index, bad, imaginary):
     m.flat[index] = complex(0, bad) if imaginary and np.iscomplexobj(m) else bad
     with pytest.raises(ValueError):
         call(m)
+
+
+_MEASUREMENT = analytic_povm(FamilyPoint(0.3, -0.5))
+_ONE_STEP = OptimizerConfig(restarts=1, max_iterations=1)
+
+# Every scalar argument checked by config.require_in: a call that takes the
+# value, and the interval it must lie in.
+INTERVAL_ARGUMENTS = {
+    "correlation_info x": (correlation_info, 0, 1),
+    "binary_entropy p": (binary_entropy, 0, 1),
+    "mi_alice_bob epsilon": (mi_alice_bob, 0, 1),
+    "mi_eve_analytic c22": (mi_eve_analytic, -1, 1),
+    "optimal_c22 epsilon": (optimal_c22, 0, 1),
+    "mi_eve_optimal epsilon": (mi_eve_optimal, 0, 1),
+    "hsw_optimal epsilon": (hsw_optimal, 0, 1),
+    "eve_curve epsilon": (lambda v: eve_curve("hsw", v), 0, 0.5),
+    "find_threshold tolerance": (lambda v: find_threshold("minconc", v), 1e-12, 1e-3),
+    "unbiased_noise_state epsilon": (unbiased_noise_state, 0, 1),
+    "general_state epsilon": (general_state, 0, 1),
+    **{
+        f"general_state {name}": (
+            lambda v, name=name: general_state(0.5, **{name: v}), -1, 1
+        )
+        for name in _FREE_NAMES
+    },
+    "max_entropy_c22 epsilon": (max_entropy_c22, 0, 1),
+    "nonsymmetric_search epsilon": (
+        lambda v: nonsymmetric_search(v, 1, 0, optimizer=_ONE_STEP), 0, 1
+    ),
+    "convex_combine weight": (
+        lambda v: convex_combine(_MEASUREMENT, conjugate_povm(_MEASUREMENT), v), 0, 1
+    ),
+}
+
+
+def _outside(lo, hi):
+    """NaN, the infinities, the nearest floats beyond each bound, and any
+    float beyond them."""
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, below, above]),
+        st.floats(max_value=below),
+        st.floats(min_value=above),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_ARGUMENTS))
+@PROPERTY
+@given(st.data())
+def test_interval_arguments_take_bounds_and_reject_the_rest(name, data):
+    call, lo, hi = INTERVAL_ARGUMENTS[name]
+    with pytest.raises(OutOfRange):
+        call(data.draw(_outside(lo, hi)))
+    for bound in (float(lo), float(hi)):
+        try:
+            call(bound)
+        except NotPositive:  # in range, but the state it gives is unphysical
+            pass
