@@ -23,6 +23,7 @@ numerically.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -145,11 +146,14 @@ def bisect_sign_change(
     Returns (root, |f(root)|, iterations, converged, bracket width):
     ``converged`` says whether |f(root)| <= ``tolerance``, and the width is
     that of the last bracket around the root (0 for an exact root at an
-    end).  The bracket is validated before iterating; ``NoSignChange`` is
-    raised if both ends share a sign.
+    end).  The bracket is validated before iterating: ``OutOfRange`` is
+    raised unless both ends are finite and lo <= hi, ``NoSignChange`` if
+    both ends share a sign.
     Bisection is used deliberately: the information curves have divergent
     slope near the branch points and robustness beats speed here.
     """
+    require_in("lo", lo, -sys.float_info.max, hi)  # NaN fails either check
+    require_in("hi", hi, lo, sys.float_info.max)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo, 0.0, 0, True, 0.0

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NotNormalized
 from .linalg import SIGMA_Y, sqrt_psd, von_neumann_entropy
-from .states import AncillaEnsemble, FamilyPoint, two_qubit_operator
+from .states import NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint, two_qubit_operator
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -21,13 +21,13 @@ def mutual_information(table: np.ndarray) -> float:
     """Shannon mutual information of a joint probability table, in bits.
 
     Zero entries contribute zero.  Raises ``NotNormalized`` unless all
-    entries are nonnegative and sum to 1 within 1e-9.
+    entries are nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
     """
     p = np.asarray(table, dtype=float)
     if np.any(p < 0):
         raise NotNormalized(f"negative entry {p.min():.3e}")
     total = p.sum()
-    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+    if not abs(total - 1.0) <= NORMALIZATION_SLACK:  # NaN fails too
         raise NotNormalized(f"entries sum to {float(total)}, not 1")
     marg = np.outer(p.sum(axis=1), p.sum(axis=0))
     mask = p > 0
@@ -37,11 +37,12 @@ def mutual_information(table: np.ndarray) -> float:
 def hsw_bound(ensemble: AncillaEnsemble) -> float:
     """Holevo-type upper bound on collective readout of an ensemble.
 
-    S(average state) minus the prior-weighted average member entropy.
+    S(average state) minus the prior-weighted average member entropy, the
+    members' entropies being those the ensemble computed when it checked
+    its states.
     """
-    avg = ensemble.average_state()
-    s = von_neumann_entropy(np.concatenate((avg[None], ensemble.states)))
-    return float(s[0] - ensemble.priors @ s[1:])
+    s = von_neumann_entropy(ensemble.average_state())
+    return float(s - ensemble.priors @ ensemble.entropies)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .config import OptimizerConfig, require_in
 from .errors import DimensionMismatch
 from .infotheory import mutual_information
-from .linalg import _hermitian_part, dagger, dyads, require_psd, square_stack
+from .linalg import EIGENVALUE_CUTOFF, _hermitian_part, dyads, require_psd, square_stack
 from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 
 COMPLETENESS_TOL = 1e-9
@@ -95,12 +95,12 @@ def analytic_povm(point: FamilyPoint) -> Povm:
     support = np.diag(alive.astype(complex))
     defect = support - elements.sum(axis=0)
     if np.max(np.abs(defect)) > ZERO_WEIGHT:
-        gap, basis = np.linalg.eigh((defect + dagger(defect)) / 2)
+        gap, basis = np.linalg.eigh(_hermitian_part(defect))
         pad = gap > ZERO_WEIGHT
         pads = gap[pad, None, None] * dyads(basis.T[pad])
         elements = np.concatenate((elements, pads))
 
-    out = Povm(elements[np.einsum("kii->k", elements).real > 1e-14])
+    out = Povm(elements[np.einsum("kii->k", elements).real > EIGENVALUE_CUTOFF])
     validate_povm(out, support=support)
     return out
 
@@ -286,18 +286,20 @@ def _conjugate_gradient(
     entry and keeps it if it gains at least 1e-4·t·⟨ξ, η⟩ (Armijo), ξ the
     tangent gradient.  A kept step grows t by 1.5; after a rejected one the
     next t is the peak of the quadratic fitted to the trial (``_backtrack``).
-    After a kept step the new direction is ξ' + β·(old η projected onto the
-    new tangent space), with the hybrid Hestenes–Stiefel/Dai–Yuan β, and
-    it falls back to ξ' unless it ascends (``_direction``).  An entry leaves
-    the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``.
-    Returns the final kets, values, iterations and ‖ξ‖ per entry.
+    Only the kept trials get a new gradient and direction, written over
+    their entries' old ones: ξ' + β·(old η projected onto the new tangent
+    space), with the hybrid Hestenes–Stiefel/Dai–Yuan β, falling back to ξ'
+    unless it ascends (``_direction``); a rejected entry keeps its point,
+    ξ and η.  An entry leaves the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or
+    after ``max_iterations``.  The ``kets`` array passed in may be
+    overwritten.  Returns the final kets, values, iterations and ‖ξ‖ per entry.
     """
     a, _, d = states.shape
     states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
     grad = _tangent(kets, _gradient(priors, ratios, sk))
     sq = _inner(grad, grad)
-    direction, slope = grad, sq
+    direction, slope = grad.copy(), sq.copy()  # updated in place: no aliases of grad, sq
     step = np.full(kets.shape[0], 0.25)
     out_kets = np.empty_like(kets)
     out_values = np.empty_like(values)
@@ -329,19 +331,12 @@ def _conjugate_gradient(
         if not ok.any():
             continue
 
-        # Every trial gets a new direction; only the kept ones are used.
-        both = np.concatenate((_gradient(priors, ratios, sk), direction), axis=2)
-        projected = _tangent(trial, both)
-        new_grad, moved = projected[:, :, :d], projected[:, :, d:]
-        new_dir, new_slope, new_sq = _direction(new_grad, moved, grad)
-
-        kept = ok[:, None, None]
-        kets = np.where(kept, trial, kets)
-        grad = np.where(kept, new_grad, grad)
-        direction = np.where(kept, new_dir, direction)
-        values = np.where(ok, trial_values, values)
-        sq = np.where(ok, new_sq, sq)
-        slope = np.where(ok, new_slope, slope)
+        kept = trial[ok]
+        both = np.concatenate((_gradient(priors, ratios[ok], sk[ok]), direction[ok]), axis=2)
+        projected = _tangent(kept, both)
+        new_grad = projected[:, :, :d]
+        direction[ok], slope[ok], sq[ok] = _direction(new_grad, projected[:, :, d:], grad[ok])
+        kets[ok], values[ok], grad[ok] = kept, trial_values[ok], new_grad
 
     return out_kets, out_values, out_iterations, np.sqrt(out_sq)
 

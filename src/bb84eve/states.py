@@ -10,14 +10,14 @@ side (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import MAX_SAMPLES, require_in, require_int
 from .errors import DimensionMismatch, InfeasiblePoint, NotNormalized, OutOfRange
 from .linalg import PAULI, bell_basis, dyads, require_finite, require_psd
-from .linalg import _hermitian_part, sqrt_psd, square_stack
+from .linalg import sqrt_psd, square_stack, von_neumann_entropy
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
@@ -70,18 +70,22 @@ class AncillaEnsemble:
     """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack.
 
     Construction checks that every state is a density operator: finite
-    entries (else ``ValueError``), Hermitian (``NotHermitian``), positive
-    (``NotPositive``, as ``require_psd``) and of unit trace within
-    ``NORMALIZATION_SLACK`` (``NotNormalized``).
+    entries (else ``ValueError``), Hermitian (``NotHermitian``) and positive
+    (``NotPositive``), as ``von_neumann_entropy`` does, and of unit trace
+    within ``NORMALIZATION_SLACK`` (``NotNormalized``).  The entropies that
+    check computes are kept, one per state, in ``entropies``.  Both are
+    read-only, ``states`` a copy of the input, so they cannot drift apart.
     """
 
     states: np.ndarray
+    entropies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = square_stack(self.states)
-        w = np.linalg.eigvalsh(_hermitian_part(states))
-        require_psd(w)
-        traces = w.sum(axis=1)
+        states = square_stack(self.states).copy()
+        entropies = von_neumann_entropy(states)
+        states.flags.writeable = entropies.flags.writeable = False
+        object.__setattr__(self, "entropies", entropies)
+        traces = np.einsum("kii->k", states).real
         if np.abs(traces - 1).max() > NORMALIZATION_SLACK:
             raise NotNormalized(f"state traces {traces.tolist()} are not all 1")
         object.__setattr__(self, "states", states)

@@ -86,6 +86,24 @@ def test_bisect_requires_sign_change():
         bisect_sign_change(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-9)
 
 
+def test_bisect_exact_root_at_either_end():
+    def f(x):
+        return x - 0.2
+
+    assert bisect_sign_change(f, 0.2, 0.5, 1e-9) == (0.2, 0.0, 0, True, 0.0)
+    assert bisect_sign_change(f, 0.0, 0.2, 1e-9) == (0.2, 0.0, 0, True, 0.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(np.nan, 0.5), (-np.inf, 0.5), (0.0, np.inf), (0.5, 0.0)],
+    ids=["nan", "minus-inf", "inf", "reversed"],
+)
+def test_bisect_rejects_bad_bracket(lo, hi):
+    with pytest.raises(OutOfRange):
+        bisect_sign_change(lambda x: x - 0.2, lo, hi, 1e-9)
+
+
 def test_bisect_reports_unmet_tolerance():
     def step(x):
         return -1.0 if x < 0.3 else 1.0

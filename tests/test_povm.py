@@ -16,6 +16,7 @@ from bb84eve import (
     mi_eve_analytic,
     optimize_povm,
     validate_povm,
+    von_neumann_entropy,
 )
 from bb84eve.config import MAX_RESTARTS
 from bb84eve.errors import (
@@ -99,6 +100,11 @@ def test_validate_povm_rejects_non_hermitian_and_non_finite():
         validate_povm(Povm((np.diag([1.1, 0.5]), np.diag([-0.1, 0.5]))))
 
 
+def test_validate_povm_rejects_incomplete_set():
+    with pytest.raises(ValueError, match="sum to identity"):
+        validate_povm(Povm(0.5 * np.eye(4)[None]))
+
+
 # unit trace, but with an antisymmetric part
 _SKEWED = np.eye(4) / 4 + 0.1 * (np.eye(4, k=1) - np.eye(4, k=-1))
 
@@ -116,6 +122,15 @@ _SKEWED = np.eye(4) / 4 + 0.1 * (np.eye(4, k=1) - np.eye(4, k=-1))
 def test_ancilla_ensemble_holds_density_operators(states, error):
     with pytest.raises(error):
         AncillaEnsemble(states)
+
+
+def test_ancilla_ensemble_keeps_its_states_entropies():
+    ensemble = conditioned_ancilla(FamilyPoint(0.3, -0.5))
+    expected = [von_neumann_entropy(state) for state in ensemble.states]
+    assert np.allclose(ensemble.entropies, expected, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        ensemble.states[0] = np.eye(4) / 4
+
 
 def test_accessible_info_single_outcome_is_zero():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
@@ -186,6 +201,8 @@ def test_convex_combine_weights_and_degeneracy():
         assert abs(accessible_info(ens, mixed) - base) <= 1e-10
     with pytest.raises(OutOfRange):
         convex_combine(m, mc, 1.5)
+    with pytest.raises(DimensionMismatch):
+        convex_combine(m, Povm(mc.elements[:2]), 0.5)
 
 
 def test_equal_weight_combination_real_and_rank_two():

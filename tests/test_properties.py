@@ -5,6 +5,7 @@ feasible triangle -1 <= c22 <= 2ε - 1, edges and corners included.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bb84eve import (
+    AncillaEnsemble,
     FamilyPoint,
     OptimizerConfig,
+    Povm,
     accessible_info,
     analytic_povm,
     bell_basis,
@@ -35,6 +38,7 @@ from bb84eve import (
     mi_alice_bob,
     mi_eve_analytic,
     mi_eve_optimal,
+    mutual_information,
     nonsymmetric_search,
     optimal_c22,
     partial_trace,
@@ -44,7 +48,7 @@ from bb84eve import (
     unbiased_noise_state,
     von_neumann_entropy,
 )
-from bb84eve.errors import NotPositive, OutOfRange
+from bb84eve.errors import InfeasiblePoint, NotNormalized, NotPositive, OutOfRange
 from bb84eve.povm import COMPLETENESS_TOL
 from bb84eve.states import _FREE_NAMES, ZERO_WEIGHT, bell_weights, two_qubit_operator
 
@@ -245,31 +249,41 @@ def test_max_entropy_c22_feasible_and_on_closed_form(epsilon):
     assert abs(c22 + (1 - epsilon) ** 2) <= 2e-8
 
 
-# Each entry: a valid input made from a density, and the call that must
-# reject it once one of its entries is NaN or infinite.
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+# Each entry: a valid input made from a density, the call that must reject
+# it once one of its entries is NaN or infinite, and the error it raises.
 NON_FINITE_CALLS = {
-    "two_qubit_operator": (lambda rho: rho, two_qubit_operator),
-    "joint_table": (lambda rho: rho, joint_table),
-    "pauli_coefficients": (lambda rho: rho, pauli_coefficients),
-    "state_from_pauli": (pauli_coefficients, state_from_pauli),
-    "partial_trace": (lambda rho: rho, lambda m: partial_trace(m, (2, 2), keep=0)),
+    "two_qubit_operator": (lambda rho: rho, two_qubit_operator, ValueError),
+    "joint_table": (lambda rho: rho, joint_table, ValueError),
+    "pauli_coefficients": (lambda rho: rho, pauli_coefficients, ValueError),
+    "state_from_pauli": (pauli_coefficients, state_from_pauli, ValueError),
+    "partial_trace": (
+        lambda rho: rho, lambda m: partial_trace(m, (2, 2), keep=0), ValueError
+    ),
+    "mutual_information": (joint_table, mutual_information, NotNormalized),
+    "AncillaEnsemble": (lambda rho: np.stack([rho] * 4), AncillaEnsemble, ValueError),
+    "Povm": (lambda rho: np.stack((rho, np.eye(4) - rho)), Povm, ValueError),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 @PROPERTY
-@given(
-    densities(),
-    st.integers(0, 15),
-    st.sampled_from([np.nan, np.inf, -np.inf]),
-    st.booleans(),
-)
+@given(densities(), st.integers(0, 63), NON_FINITE, st.booleans())
 def test_non_finite_entry_rejected(name, rho, index, bad, imaginary):
-    make, call = NON_FINITE_CALLS[name]
+    make, call, error = NON_FINITE_CALLS[name]
     m = make(rho)
+    index %= m.size
     m.flat[index] = complex(0, bad) if imaginary and np.iscomplexobj(m) else bad
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         call(m)
+
+
+@PROPERTY
+@given(feasible_points(), st.sampled_from(["epsilon", "c22"]), NON_FINITE)
+def test_family_point_rejects_non_finite_field(point, name, bad):
+    with pytest.raises(InfeasiblePoint):
+        replace(point, **{name: bad})
 
 
 _MEASUREMENT = analytic_povm(FamilyPoint(0.3, -0.5))

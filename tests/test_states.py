@@ -215,7 +215,9 @@ def test_conditioned_ancilla_from_state_rejects_unphysical_state():
 
 
 def test_two_qubit_inputs_reject_other_shapes():
-    for func in (pauli_coefficients, joint_table, conditioned_ancilla_from_state):
+    for func in (
+        pauli_coefficients, joint_table, conditioned_ancilla_from_state, state_from_pauli
+    ):
         with pytest.raises(DimensionMismatch):
             func(np.eye(2) / 2)
 
