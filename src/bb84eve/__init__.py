@@ -4,32 +4,29 @@ Builds the eavesdropper's optimal states and measurements, computes the
 mutual-information curves and security thresholds, and cross-checks the
 closed forms with brute-force numerical optimizers.
 
-The scalar closed forms (``curves``) and the optimizer settings
-(``config``) import no numpy and are bound here at once.  Every other name
-belongs to a numeric module, which is imported on first access to one of
-its names (PEP 562), so ``import bb84eve`` alone does not load numpy.
+Every public name is bound on first access through one table (PEP 562),
+so ``import bb84eve`` alone loads no submodule and no numpy.
 """
 
 import importlib
 
-from .config import OptimizerConfig
-from .curves import (
-    CURVES,
-    ThresholdResult,
-    binary_entropy,
-    correlation_info,
-    eve_curve,
-    find_threshold,
-    hsw_optimal,
-    key_rate,
-    mi_alice_bob,
-    mi_eve_analytic,
-    mi_eve_optimal,
-    optimal_c22,
-    scan_curves,
-)
-
-_NUMERIC = {
+_NAMES = {
+    "config": ("OptimizerConfig",),
+    "curves": (
+        "CURVES",
+        "ThresholdResult",
+        "binary_entropy",
+        "correlation_info",
+        "eve_curve",
+        "find_threshold",
+        "hsw_optimal",
+        "key_rate",
+        "mi_alice_bob",
+        "mi_eve_analytic",
+        "mi_eve_optimal",
+        "optimal_c22",
+        "scan_curves",
+    ),
     "analysis": ("SearchReport", "max_entropy_c22", "nonsymmetric_search"),
     "infotheory": (
         "EntanglementNumbers",
@@ -73,27 +70,10 @@ _NUMERIC = {
         "unbiased_noise_state",
     ),
 }
-_MODULE_OF = {name: module for module, names in _NUMERIC.items() for name in names}
-_SUBMODULES = ("config", "curves", "errors", *_NUMERIC)
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+_SUBMODULES = ("errors", *_NAMES)
 
-__all__ = [
-    "OptimizerConfig",
-    "CURVES",
-    "ThresholdResult",
-    "binary_entropy",
-    "correlation_info",
-    "eve_curve",
-    "find_threshold",
-    "hsw_optimal",
-    "key_rate",
-    "mi_alice_bob",
-    "mi_eve_analytic",
-    "mi_eve_optimal",
-    "optimal_c22",
-    "scan_curves",
-    *_MODULE_OF,
-    *_SUBMODULES,
-]
+__all__ = [*_MODULE_OF, *_SUBMODULES]
 
 __version__ = "0.1.0"
 

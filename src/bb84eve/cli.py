@@ -16,7 +16,8 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import config, curves
+from . import config
+from .curves import CURVES, find_threshold, mi_eve_analytic, optimal_c22, scan_curves
 from .errors import InfeasiblePoint, NoSignChange, NotPositive, OutOfRange
 
 SCHEMA_VERSION = "1"
@@ -29,8 +30,6 @@ def _round12(obj):
         return obj
     if isinstance(obj, float):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, int):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,10 +69,10 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def cmd_thresholds(args) -> int:
-    names = list(curves.CURVES) if args.all else [args.curve]
+    names = list(CURVES) if args.all else [args.curve]
     rows = []
     for curve in names:
-        res = curves.find_threshold(curve, tolerance=args.tol)
+        res = find_threshold(curve, tolerance=args.tol)
         rows.append(
             {
                 "curve": res.curve,
@@ -94,9 +93,9 @@ def cmd_scan(args) -> int:
     count = round((args.stop - args.start) / args.step) + 1
     points = (args.start + i * args.step for i in range(count))
     grid = [e for e in points if e <= args.stop + 1e-12]
-    header = ["epsilon", "I_AB", *(f"I_{c}" for c in curves.CURVES), "qber"]
+    header = ["epsilon", "I_AB", *(f"I_{c}" for c in CURVES), "qber"]
     lines = [",".join(header)]
-    for row in curves.scan_curves(grid):
+    for row in scan_curves(grid):
         lines.append(",".join(f"{v:.12g}" for v in (*row, row[0] / 2)))
     _write("\n".join(lines) + "\n", args.out)
     return 0
@@ -107,7 +106,7 @@ def cmd_table(args) -> int:
 
     from . import states
 
-    c22 = args.c22 if args.c22 is not None else curves.optimal_c22(args.epsilon)
+    c22 = args.c22 if args.c22 is not None else optimal_c22(args.epsilon)
     point = states.FamilyPoint(args.epsilon, c22)
     analytic = states.joint_table(states.bell_diagonal_state(point))
     empirical = None
@@ -145,7 +144,7 @@ def cmd_povm_check(args) -> int:
     completeness = float(np.max(np.abs(measurement.total().real - support)))
 
     evaluated = povm_mod.accessible_info(ensemble, measurement)
-    formula = curves.mi_eve_analytic(point.c22)
+    formula = mi_eve_analytic(point.c22)
     conj = povm_mod.conjugate_povm(measurement)
     conj_gap = abs(povm_mod.accessible_info(ensemble, conj) - evaluated)
     mixed = povm_mod.convex_combine(measurement, conj, 0.5)
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("thresholds", cmd_thresholds, "security thresholds per attack curve")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="all four curves")
-    group.add_argument("--curve", choices=sorted(curves.CURVES))
+    group.add_argument("--curve", choices=sorted(CURVES))
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
     p = command("scan", cmd_scan, "CSV of all information curves on a grid")
@@ -271,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
                 "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "
                 f"at most {MAX_SCAN_POINTS} points"
             )
-    if args.subcommand == "search-nonsym" and not 0 < args.epsilon <= 1:
-        parser.error("--epsilon must be in (0, 1]")
     try:
         return args.func(args)
     except (OutOfRange, NotPositive, InfeasiblePoint, NoSignChange) as exc:

@@ -34,11 +34,6 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Adjoint of a matrix, or of each matrix in a stack (..., d, d)."""
-    return np.asarray(m).conj().swapaxes(-1, -2)
-
-
 def require_finite(m, dtype=None) -> np.ndarray:
     """``m`` as an array of ``dtype``; raises ``ValueError`` on a NaN or
     infinite entry."""
@@ -52,7 +47,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks:
     finite entries and a Hermiticity defect of at most ``HERMITICITY_TOL``."""
     m = require_finite(m, complex)
-    adj = dagger(m)
+    adj = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adj).max()
     if defect > HERMITICITY_TOL:
         raise NotHermitian(

@@ -23,7 +23,7 @@ import numpy as np
 from .config import OptimizerConfig, require_in
 from .errors import DimensionMismatch
 from .infotheory import mutual_information
-from .linalg import EIGENVALUE_CUTOFF, _hermitian_part, dyads, require_psd, square_stack
+from .linalg import _hermitian_part, dyads, require_psd, square_stack
 from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 
 COMPLETENESS_TOL = 1e-9
@@ -69,10 +69,10 @@ def analytic_povm(point: FamilyPoint) -> Povm:
 
     Four rank-one dyads built from kets with components
     (1/2, ±√(w1/(1-c22)), ∓i/2, ∓i√(w3/(1-c22))) along the ancilla axes.
-    Components whose weight vanishes (boundary points) are set to zero;
-    should the surviving dyads still leave a gap on the ensemble support
-    (only possible at the fully degenerate corner c22 = 1), the gap is
-    filled with basis projectors.
+    Components whose weight vanishes (boundary points) are set to zero.
+    Where w0 vanishes, which on the feasible set is only the corner
+    (ε, c22) = (1, 1), every ket vanishes, and the measurement is the
+    projectors onto the surviving axes 1 and 3.
     """
     w = bell_weights(point)
     alive = w > ZERO_WEIGHT
@@ -90,18 +90,10 @@ def analytic_povm(point: FamilyPoint) -> Povm:
         ],
         dtype=complex,
     )
-    elements = dyads(kets)
-
-    support = np.diag(alive.astype(complex))
-    defect = support - elements.sum(axis=0)
-    if np.max(np.abs(defect)) > ZERO_WEIGHT:
-        gap, basis = np.linalg.eigh(_hermitian_part(defect))
-        pad = gap > ZERO_WEIGHT
-        pads = gap[pad, None, None] * dyads(basis.T[pad])
-        elements = np.concatenate((elements, pads))
-
-    out = Povm(elements[np.einsum("kii->k", elements).real > EIGENVALUE_CUTOFF])
-    validate_povm(out, support=support)
+    if not alive[0]:
+        kets = np.eye(4, dtype=complex)[alive]
+    out = Povm(dyads(kets))
+    validate_povm(out, support=np.diag(alive.astype(complex)))
     return out
 
 

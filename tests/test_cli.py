@@ -230,7 +230,6 @@ def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
     no_optimizer_start(monkeypatch)
     too_many = str(config.MAX_RESTARTS + 1)
     for argv, message in (
-        (["--epsilon", "0", "--trials", "5"], "--epsilon must be in (0, 1]"),
         (["--epsilon", "0.3", "--trials", "0"], "value=0 must be an integer >= 1"),
         (["--epsilon", "0.3", "--trials", "2", "--restarts", "0"],
          f"value=0 {RESTARTS_BOUND}"),
@@ -245,6 +244,20 @@ def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
             main(["search-nonsym", *argv])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def test_search_nonsym_epsilon_follows_the_library_rule(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "search-nonsym", "--epsilon", "0", "--trials", "5")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["best_value"] == row["symmetric_optimum"] == 0
+    no_optimizer_start(monkeypatch)
+    for eps in ("1.5", "-0.1", "nan"):
+        code, out, err = run_cli(
+            capsys, "search-nonsym", "--epsilon", eps, "--trials", "5"
+        )
+        assert (code, out) == (1, ""), eps
+        assert f"epsilon={float(eps)} outside [0, 1]" in err
 
 
 @pytest.mark.parametrize("argv", [

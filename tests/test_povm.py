@@ -81,6 +81,15 @@ def test_analytic_povm_boundary_drops_dead_component():
     validate_povm(m, support=support_projector(point))
 
 
+@pytest.mark.parametrize("c22", [1.0, 0.9999999999999998])
+def test_analytic_povm_corner_is_the_surviving_basis_projectors(c22):
+    # at (1, 1) every ket of the closed form vanishes; only w1 and w3 survive
+    m = analytic_povm(FamilyPoint(1.0, c22))
+    expected = np.zeros((2, 4, 4), dtype=complex)
+    expected[0, 1, 1] = expected[1, 3, 3] = 1
+    assert np.max(np.abs(m.elements - expected)) <= 1e-15
+
+
 def test_analytic_povm_rejects_infeasible():
     with pytest.raises(InfeasiblePoint):
         analytic_povm(FamilyPoint(0.2, 0.0))
