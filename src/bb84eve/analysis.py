@@ -12,13 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SEARCH_OPTIMIZER, OptimizerConfig, require_in, require_int
+from .config import OptimizerConfig, require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
-from .curves import mi_eve_optimal, optimal_c22
+from .curves import _c22_interval, mi_eve_optimal, optimal_c22
 from .errors import NotPositive
 from .linalg import von_neumann_entropy
 from .povm import optimize_povm
 from .states import (
+    _FREE_NAMES,
     FamilyPoint,
     bell_diagonal_state,
     conditioned_ancilla_from_state,
@@ -27,6 +28,9 @@ from .states import (
 
 _GRID = 33  # states per stacked entropy evaluation
 _ROUNDS = 3
+
+# The optimizer settings of every nonsymmetric_search trial, bar the seed.
+SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
 
 
 def max_entropy_c22(epsilon: float) -> float:
@@ -39,9 +43,9 @@ def max_entropy_c22(epsilon: float) -> float:
     returned, clipped to them, or the best point if the parabola is not concave.
     """
     require_in("epsilon", epsilon, 0, 1)
-    lo, hi = -1.0, 2 * epsilon - 1
+    lo, hi = _c22_interval(epsilon)
     if hi - lo < 1e-9:
-        return -1.0
+        return lo
     start = bell_diagonal_state(FamilyPoint(epsilon, lo))
     step = (bell_diagonal_state(FamilyPoint(epsilon, hi)) - start) / (hi - lo)
     a, b = lo, hi
@@ -64,7 +68,10 @@ class SearchReport:
 
     ``best_value`` is evidence, not proof: samples within 1e-6 of the
     symmetric optimum are counted in ``near_optimum_count`` but no
-    conclusion is drawn from them.
+    conclusion is drawn from them.  It can also fall short of the best
+    sampled state's accessible information: each restart stops after
+    ``SEARCH_OPTIMIZER.max_iterations`` iterations, which many restarts
+    reach before they are stationary.
     """
 
     epsilon: float
@@ -77,12 +84,7 @@ class SearchReport:
     near_optimum_count: int
 
 
-def nonsymmetric_search(
-    epsilon: float,
-    trials: int,
-    seed: int,
-    optimizer: OptimizerConfig = SEARCH_OPTIMIZER,
-) -> SearchReport:
+def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:
     """Search the seven hidden coefficients for an advantage over the
     symmetric family.
 
@@ -92,14 +94,15 @@ def nonsymmetric_search(
     rejecting unphysical draws.  Every accepted state is purified,
     conditioned on Alice's outcomes, and handed to the POVM optimizer; the
     best value found is reported against the symmetric optimum.  Each trial
-    runs ``optimizer`` with its ``seed`` replaced by one drawn from ``seed``.
+    runs ``SEARCH_OPTIMIZER`` with its ``seed`` replaced by one drawn from
+    ``seed``.
     """
     require_in("epsilon", epsilon, 0, 1)
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)
 
-    center = np.zeros(7)
-    center[4] = optimal_c22(epsilon)
+    center = np.zeros(len(_FREE_NAMES))
+    center[_FREE_NAMES.index("c22")] = optimal_c22(epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     symmetric = mi_eve_optimal(epsilon)
 
@@ -112,16 +115,16 @@ def nonsymmetric_search(
         if trial == 0:
             draw = center.copy()
         elif trial % 2:
-            draw = np.clip(center + rng.normal(scale=0.05, size=7), -1.0, 1.0)
+            draw = np.clip(center + rng.normal(scale=0.05, size=center.size), -1.0, 1.0)
         else:
-            draw = rng.uniform(-1.0, 1.0, size=7)
+            draw = rng.uniform(-1.0, 1.0, size=center.size)
         try:
             rho = general_state(epsilon, *draw)
         except NotPositive:
             continue
         accepted += 1
         ensemble = conditioned_ancilla_from_state(rho)
-        cfg = replace(optimizer, seed=int(rng.integers(2**63)))
+        cfg = replace(SEARCH_OPTIMIZER, seed=int(rng.integers(2**63)))
         result = optimize_povm(ensemble, cfg)
         if result.info > best_value:
             best_value = result.info

@@ -179,14 +179,7 @@ def cmd_povm_check(args) -> int:
 def cmd_search_nonsym(args) -> int:
     from . import analysis
 
-    report = analysis.nonsymmetric_search(
-        args.epsilon,
-        args.trials,
-        args.seed,
-        optimizer=config.OptimizerConfig(
-            restarts=args.restarts, max_iterations=args.max_iterations
-        ),
-    )
+    report = analysis.nonsymmetric_search(args.epsilon, args.trials, args.seed)
     data = asdict(report)
     data["exceeds_symmetric_by"] = report.best_value - report.symmetric_optimum
     _emit_json(
@@ -194,8 +187,8 @@ def cmd_search_nonsym(args) -> int:
         [data],
         {
             "seed": args.seed,
-            "restarts": args.restarts,
-            "max_iterations": args.max_iterations,
+            "restarts": analysis.SEARCH_OPTIMIZER.restarts,
+            "max_iterations": analysis.SEARCH_OPTIMIZER.max_iterations,
         },
     )
     return 0
@@ -214,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the output here instead of stdout")
     seed = dict(type=_int_in(0), default=0)
-    restarts = _int_in(1, config.MAX_RESTARTS)
 
     def command(name, func, help):
         p = sub.add_parser(name, parents=[common], help=help)
@@ -245,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c22", type=float, required=True)
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
-    p.add_argument("--restarts", type=restarts,
+    p.add_argument("--restarts", type=_int_in(1, config.MAX_RESTARTS),
                    default=config.OptimizerConfig.restarts)
     p.add_argument("--seed", **seed)
 
@@ -253,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=_int_in(1), required=True)
     p.add_argument("--seed", **seed)
-    search = config.SEARCH_OPTIMIZER
-    p.add_argument("--restarts", type=restarts, default=search.restarts)
-    p.add_argument("--max-iterations", type=_int_in(1), default=search.max_iterations)
 
     return parser
 

@@ -1,7 +1,9 @@
-"""Optimizer settings, sample limits, and the interval and integer checks.
+"""The optimizer's knobs, sample limits, and the interval and integer checks.
 
 The command-line parser reads these for its flag bounds and defaults, and
 none of them needs numpy, so they live apart from the numeric modules.
+``nonsymmetric_search`` runs fixed settings, ``analysis.SEARCH_OPTIMIZER``,
+that no flag or argument changes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,3 @@ class OptimizerConfig:
         require_int("restarts", self.restarts, 1, MAX_RESTARTS)
         require_int("max_iterations", self.max_iterations, 1)
         require_int("seed", self.seed, 0)
-
-
-# nonsymmetric_search's optimizer settings unless the caller gives its own.
-SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)

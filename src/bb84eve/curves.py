@@ -71,7 +71,7 @@ def mi_eve_analytic(c22: float) -> float:
 def optimal_c22(epsilon: float) -> float:
     """The feasible c22 of smallest magnitude: -(1-2ε) for ε <= 1/2, else 0."""
     require_in("epsilon", epsilon, 0, 1)
-    return 2 * epsilon - 1 if epsilon <= 0.5 else 0.0
+    return min(_c22_interval(epsilon)[1], 0.0)
 
 
 def mi_eve_optimal(epsilon: float) -> float:
@@ -90,6 +90,12 @@ def hsw_optimal(epsilon: float) -> float:
     """The collective-readout bound at the entropy-maximizing c22."""
     require_in("epsilon", epsilon, 0, 1)
     return 1.0 - correlation_info(1 - epsilon)
+
+
+def _c22_interval(epsilon: float) -> tuple[float, float]:
+    """The bounds of the symmetric family's c22 at noise ε: the state is
+    positive exactly when -1 <= c22 <= 2ε - 1.  Unchecked; NaN in, NaN out."""
+    return -1.0, 2 * epsilon - 1
 
 
 C22_RULES: dict[str, Callable[[float], float]] = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MAX_SAMPLES, require_in, require_int
+from .curves import _c22_interval
 from .errors import DimensionMismatch, InfeasiblePoint, NotNormalized, OutOfRange
 from .linalg import PAULI, bell_basis, dyads, require_finite, require_psd
 from .linalg import sqrt_psd, square_stack, von_neumann_entropy
@@ -58,7 +59,8 @@ class FamilyPoint:
 
     def __post_init__(self):
         e, c, slack = self.epsilon, self.c22, FEASIBILITY_SLACK
-        if not (-slack <= e <= 1 + slack and -1 - slack <= c <= 2 * e - 1 + slack):
+        lo, hi = _c22_interval(e)
+        if not (-slack <= e <= 1 + slack and lo - slack <= c <= hi + slack):
             raise InfeasiblePoint(
                 f"(epsilon={e}, c22={c}) violates "
                 "-1 <= c22 <= 2*epsilon - 1 with 0 <= epsilon <= 1"
@@ -142,7 +144,12 @@ def bell_diagonal_state(point: FamilyPoint) -> np.ndarray:
     return (w[:, None, None] * _BELL_PROJECTORS).sum(axis=0)
 
 
-_FREE_NAMES = ("c02", "c20", "c12", "c21", "c22", "c23", "c32")
+# Alice and Bob measure only x and z, which fixes the coefficients c[j, k]
+# with j, k in {0, 1, 3} to the table ``general_state`` starts from.  The
+# seven pairs that involve σ_y are hidden from them, listed in the order of
+# ``general_state``'s arguments.
+_HIDDEN = ((0, 2), (2, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
+_FREE_NAMES = tuple(f"c{j}{k}" for j, k in _HIDDEN)
 
 
 def general_state(
@@ -167,13 +174,8 @@ def general_state(
     free = (c02, c20, c12, c21, c22, c23, c32)
     for name, value in zip(_FREE_NAMES, free):
         require_in(name, value, -1, 1)
-    c = np.zeros((4, 4))
-    c[0, 0] = 1.0
-    c[1, 1] = c[3, 3] = -(1 - epsilon)
-    c[0, 2], c[2, 0] = c02, c20
-    c[1, 2], c[2, 1] = c12, c21
-    c[2, 2] = c22
-    c[2, 3], c[3, 2] = c23, c32
+    c = np.diag([1.0, -(1 - epsilon), 0.0, -(1 - epsilon)])  # the measured table
+    c[tuple(zip(*_HIDDEN))] = free
     rho = state_from_pauli(c)
     require_psd(np.linalg.eigvalsh(rho))
     return rho

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from bb84eve import (
     CURVES,
     FamilyPoint,
-    OptimizerConfig,
     bell_diagonal_state,
     eve_curve,
     find_threshold,
@@ -63,6 +64,16 @@ def test_find_threshold_values():
         assert res.converged, curve
         assert 0 < res.bracket_width <= 0.5 ** res.iterations
         assert abs(res.qber - res.epsilon_star / 2) <= 1e-15
+
+
+@pytest.mark.parametrize("curve, exact", [
+    ("honest", 1 - 1 / math.sqrt(2)),
+    ("minconc", 1 / 5),
+    ("maxent", 1 - math.sqrt((math.sqrt(5) - 1) / 2)),
+])
+def test_threshold_brackets_the_algebraic_root(curve, exact):
+    res = find_threshold(curve)
+    assert abs(res.epsilon_star - exact) <= res.bracket_width
 
 
 def test_threshold_ordering():
@@ -165,17 +176,15 @@ def test_nonsymmetric_search_trivial_epsilon_zero():
 
 
 def test_nonsymmetric_search_center_recovers_symmetric_value():
-    cfg = OptimizerConfig(restarts=4, max_iterations=300)
-    report = nonsymmetric_search(0.25, trials=1, seed=0, optimizer=cfg)
+    report = nonsymmetric_search(0.25, trials=1, seed=0)
     assert report.accepted == 1
     assert report.best_parameters[4] == -0.5  # the symmetric optimum itself
     assert abs(report.best_value - mi_eve_optimal(0.25)) <= 1e-5
 
 
 def test_nonsymmetric_search_no_advantage_and_deterministic():
-    cfg = OptimizerConfig(restarts=3, max_iterations=250)
-    a = nonsymmetric_search(0.25, trials=30, seed=42, optimizer=cfg)
-    b = nonsymmetric_search(0.25, trials=30, seed=42, optimizer=cfg)
+    a = nonsymmetric_search(0.25, trials=30, seed=42)
+    b = nonsymmetric_search(0.25, trials=30, seed=42)
     assert a == b
     assert a.accepted > 1
     assert a.best_value <= a.symmetric_optimum + 1e-4
