@@ -10,8 +10,10 @@ from bb84eve import (
     analytic_povm,
     canonical_optimal_povm,
     conditioned_ancilla,
+    conditioned_ancilla_from_state,
     conjugate_povm,
     convex_combine,
+    general_state,
     hsw_bound,
     mi_eve_analytic,
     optimize_povm,
@@ -32,6 +34,7 @@ from bb84eve.povm import (
     STATIONARY_TOL,
     _backtrack,
     _batch_info_and_ratios,
+    _conjugate_gradient,
     _gradient,
     _inner,
     _random_starts,
@@ -346,6 +349,28 @@ def test_optimizer_rejects_negative_seed(monkeypatch):
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     with pytest.raises(OutOfRange):
         optimize_povm(ens, OptimizerConfig(seed=-1))
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        lambda: conditioned_ancilla(FamilyPoint(0.3, -0.4)),
+        lambda: conditioned_ancilla(FamilyPoint(0.1, -0.8)),
+        lambda: conditioned_ancilla_from_state(general_state(0.25, 0, 0, 0, 0, -0.6, 0, 0)),
+    ],
+    ids=["interior", "near-edge", "general-state"],
+)
+def test_restart_result_does_not_depend_on_its_batch(ensemble):
+    """Eight restarts run together end exactly as each one run alone: the
+    same kets, value, iteration count and residual, bit for bit, whether
+    an iteration keeps every trial, some or none."""
+    ens = ensemble()
+    starts = _random_starts(3, 8, 4)
+    together = _conjugate_gradient(starts.copy(), ens.states, ens.priors, 300)
+    for i in range(len(starts)):
+        alone = _conjugate_gradient(starts[i : i + 1].copy(), ens.states, ens.priors, 300)
+        for batch, solo in zip(together, alone):
+            assert np.array_equal(batch[i : i + 1], solo)
 
 
 def test_optimized_povm_is_valid_and_below_collective_bound(rng):
