@@ -234,7 +234,7 @@ def _backtrack(step: np.ndarray, slope: np.ndarray, shortfall: np.ndarray) -> np
     peak = np.divide(
         slope * step**2, shortfall, out=np.full_like(step, np.inf), where=shortfall > 0.0
     )
-    return np.clip(peak, 0.1 * step, 0.5 * step)
+    return np.minimum(np.maximum(peak, 0.1 * step), 0.5 * step)
 
 
 def _direction(
@@ -253,7 +253,8 @@ def _direction(
     back to ξ'.
     """
     r = grad.shape[0]
-    rows = np.stack((new_grad, moved, grad), axis=1).view(float).reshape(r, 3, -1)
+    rows = np.concatenate((new_grad[:, None], moved[:, None], grad[:, None]), axis=1)
+    rows = rows.view(float).reshape(r, 3, -1)
     gram = rows @ rows[:, :2].swapaxes(1, 2)
     new_sq, grad_dir, grad_old = gram[:, 0, 0], gram[:, 1, 0], gram[:, 2, 0]
     curvature = gram[:, 2, 1] - grad_dir
@@ -277,14 +278,17 @@ def _conjugate_gradient(
     Each iteration tries one step t along the direction η of every live
     entry and keeps it if it gains at least 1e-4·t·⟨ξ, η⟩ (Armijo), ξ the
     tangent gradient.  A kept step grows t by 1.5; after a rejected one the
-    next t is the peak of the quadratic fitted to the trial (``_backtrack``).
-    Only the kept trials get a new gradient and direction, written over
-    their entries' old ones: ξ' + β·(old η projected onto the new tangent
-    space), with the hybrid Hestenes–Stiefel/Dai–Yuan β, falling back to ξ'
-    unless it ascends (``_direction``); a rejected entry keeps its point,
-    ξ and η.  An entry leaves the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or
-    after ``max_iterations``.  The ``kets`` array passed in may be
-    overwritten.  Returns the final kets, values, iterations and ‖ξ‖ per entry.
+    next t is the peak of the quadratic fitted to the trial (``_backtrack``),
+    a fit that runs only in an iteration that rejects some trial.  Only the
+    kept trials get a new gradient and direction, written over their
+    entries' old ones: ξ' + β·(old η projected onto the new tangent space),
+    with the hybrid Hestenes–Stiefel/Dai–Yuan β, falling back to ξ' unless
+    it ascends (``_direction``); a rejected entry keeps its point, ξ and η.
+    An iteration whose trials are all kept updates the batch through a
+    basic slice, with no index copies.  An entry leaves the batch once
+    ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``.  The ``kets``
+    array passed in may be overwritten.  Returns the final kets, values,
+    iterations and ‖ξ‖ per entry.
     """
     a, _, d = states.shape
     states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
@@ -301,8 +305,8 @@ def _conjugate_gradient(
     iterations = 0
 
     while True:
-        done = (sq <= STATIONARY_TOL**2) | (iterations == max_iterations)
-        if done.any():
+        if iterations == max_iterations or sq.min() <= STATIONARY_TOL**2:
+            done = (sq <= STATIONARY_TOL**2) | (iterations == max_iterations)
             out_kets[live[done]] = kets[done]
             out_values[live[done]] = values[done]
             out_iterations[live[done]] = iterations
@@ -318,17 +322,22 @@ def _conjugate_gradient(
         trial = _retract(kets + step[:, None, None] * direction)
         trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols, priors)
         ok = trial_values >= values + 1e-4 * step * slope
-        shortfall = values + 2 * step * slope - trial_values
-        step = np.where(ok, 1.5 * step, _backtrack(step, slope, shortfall))
-        if not ok.any():
-            continue
+        at = ok.nonzero()[0]  # the kept entries
+        if at.size == ok.size:
+            step *= 1.5
+            at = slice(None)  # all of them: a basic slice, so no index copies
+        else:
+            shortfall = values + 2 * step * slope - trial_values
+            step = np.where(ok, 1.5 * step, _backtrack(step, slope, shortfall))
+            if at.size == 0:
+                continue
 
-        kept = trial[ok]
-        both = np.concatenate((_gradient(priors, ratios[ok], sk[ok]), direction[ok]), axis=2)
+        kept = trial[at]
+        both = np.concatenate((_gradient(priors, ratios[at], sk[at]), direction[at]), axis=2)
         projected = _tangent(kept, both)
         new_grad = projected[:, :, :d]
-        direction[ok], slope[ok], sq[ok] = _direction(new_grad, projected[:, :, d:], grad[ok])
-        kets[ok], values[ok], grad[ok] = kept, trial_values[ok], new_grad
+        direction[at], slope[at], sq[at] = _direction(new_grad, projected[:, :, d:], grad[at])
+        kets[at], values[at], grad[at] = kept, trial_values[at], new_grad
 
     return out_kets, out_values, out_iterations, np.sqrt(out_sq)
 

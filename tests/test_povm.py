@@ -521,13 +521,15 @@ def test_every_new_direction_has_nonnegative_beta_and_ascends(monkeypatch):
     at = []
     tangent, direction = povm_mod._tangent, povm_mod._direction
 
+    # snapshots: the arguments can be views of arrays the ascent later
+    # overwrites in place
     def recording_tangent(kets, z):
-        at.append(kets)
+        at.append(kets.copy())
         return tangent(kets, z)
 
     def recording_direction(new_grad, moved, grad):
         out = direction(new_grad, moved, grad)
-        records.append((at[-1], new_grad, moved, grad, out))
+        records.append((at[-1], new_grad.copy(), moved.copy(), grad.copy(), out))
         return out
 
     monkeypatch.setattr(povm_mod, "_tangent", recording_tangent)
