@@ -10,20 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized
-from .linalg import SIGMA_Y, sqrt_psd, von_neumann_entropy
-from .states import NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint, two_qubit_operator
-
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+from .errors import DimensionMismatch, NotNormalized
+from .linalg import sqrt_psd, von_neumann_entropy
+from .states import _PAULI_PAIRS, NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint
+from .states import two_qubit_operator
 
 
 def mutual_information(table: np.ndarray) -> float:
     """Shannon mutual information of a joint probability table, in bits.
 
-    Zero entries contribute zero.  Raises ``NotNormalized`` unless all
-    entries are nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
+    Zero entries contribute zero.  Raises ``DimensionMismatch`` unless the
+    table is 2-D, and ``NotNormalized`` unless all entries are nonnegative
+    and sum to 1 within ``NORMALIZATION_SLACK``.
     """
     p = np.asarray(table, dtype=float)
+    if p.ndim != 2:
+        raise DimensionMismatch(f"shape {p.shape} is not a 2-D table")
     if np.any(p < 0):
         raise NotNormalized(f"negative entry {p.min():.3e}")
     total = p.sum()
@@ -37,12 +39,11 @@ def mutual_information(table: np.ndarray) -> float:
 def hsw_bound(ensemble: AncillaEnsemble) -> float:
     """Holevo-type upper bound on collective readout of an ensemble.
 
-    S(average state) minus the prior-weighted average member entropy, the
-    members' entropies being those the ensemble computed when it checked
-    its states.
+    S(average state) minus the average member entropy, every state of
+    weight 1/n; the n + 1 entropies come from one stacked eigensolve.
     """
-    s = von_neumann_entropy(ensemble.average_state())
-    return float(s - ensemble.priors @ ensemble.entropies)
+    s = von_neumann_entropy(np.concatenate(([ensemble.states.mean(axis=0)], ensemble.states)))
+    return float(s[0] - s[1:].mean())
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,6 @@ def concurrence(rho: np.ndarray) -> float:
     Raises ``NotPositive`` as ``sqrt_psd`` does.
     """
     root = sqrt_psd(two_qubit_operator(rho))
-    s = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)
+    s = np.linalg.svd(root.T @ _PAULI_PAIRS[2, 2] @ root, compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 

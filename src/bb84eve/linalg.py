@@ -7,6 +7,7 @@ by this package are in bits (logarithms base 2).
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -20,11 +21,10 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 # Entropies and square roots drop eigenvalues at or below this.
 EIGENVALUE_CUTOFF = 1e-14
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI = np.array(  # σ_0 = I, σ_x, σ_y, σ_z
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 
 class Spectrum(NamedTuple):
@@ -44,9 +44,12 @@ def require_finite(m, dtype=None) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†)/2 for a matrix or a stack (..., d, d) that passes the checks:
-    finite entries and a Hermiticity defect of at most ``HERMITICITY_TOL``."""
+    """(m + m†)/2 for a matrix or a non-empty stack (..., d, d), d >= 1, that
+    passes the checks: finite entries and a Hermiticity defect of at most
+    ``HERMITICITY_TOL``.  Any other shape raises ``DimensionMismatch``."""
     m = require_finite(m, complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.size:
+        raise DimensionMismatch(f"shape {m.shape} is not a square matrix or a stack")
     adj = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adj).max()
     if defect > HERMITICITY_TOL:
@@ -58,12 +61,14 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose one Hermitian matrix; any other shape raises ``DimensionMismatch``.
 
     The input is symmetrized to (m + m†)/2 before solving, but only once it
     has passed the Hermiticity check; a genuinely non-Hermitian input raises
     ``NotHermitian`` instead of being silently repaired.
     """
+    if np.ndim(m) != 2:
+        raise DimensionMismatch(f"shape {np.shape(m)} is not one square matrix")
     w, v = np.linalg.eigh(_hermitian_part(m))
     order = np.argsort(w)[::-1]
     return Spectrum(w[order], v[:, order])
@@ -105,11 +110,15 @@ def dyads(kets: np.ndarray) -> np.ndarray:
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one tensor factor of an operator on H_A ⊗ H_B.
 
-    ``dims`` is (dim_A, dim_B); ``keep`` selects the surviving factor,
-    0 for the first, 1 for the second.  Raises ``ValueError`` on a
-    non-finite entry.
+    ``dims`` is (dim_A, dim_B), two integers >= 1, else ``DimensionMismatch``;
+    ``keep`` selects the surviving factor, 0 for the first, 1 for the second.
+    Raises ``ValueError`` on a non-finite entry.
     """
     m = require_finite(m)
+    if len(dims) != 2 or not all(
+        isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in dims
+    ):
+        raise DimensionMismatch(f"dims {dims!r} are not two integers >= 1")
     da, db = dims
     if m.ndim != 2 or m.shape != (da * db, da * db):
         raise DimensionMismatch(
@@ -126,9 +135,9 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Entropy -tr(ρ log2 ρ) in bits, with 0·log 0 := 0.
 
-    Takes one density operator, or a stack (..., d, d) of them and returns
-    one entropy per matrix.  Every matrix must be finite, Hermitian within
-    ``HERMITICITY_TOL`` and pass ``require_psd``.
+    Takes one density operator or a stack (..., d, d) of them, any other
+    shape raising ``DimensionMismatch``, and returns one entropy per matrix.
+    Each must be finite, Hermitian within ``HERMITICITY_TOL`` and pass ``require_psd``.
     """
     w = np.linalg.eigvalsh(_hermitian_part(rho))
     require_psd(w)

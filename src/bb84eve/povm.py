@@ -52,15 +52,17 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     """Check Hermiticity and positivity of every element and completeness
     on ``support``.
 
-    ``support`` defaults to the full identity; pass the projector onto a
-    subspace for measurements defined only there.  A non-Hermitian element
-    raises ``NotHermitian``, a negative one ``NotPositive`` (as
-    ``linalg.require_psd`` does), and an incomplete set ``ValueError``.
+    ``support`` defaults to the full identity; pass the (dim, dim) projector
+    onto a subspace for measurements defined only there.  A non-Hermitian
+    element raises ``NotHermitian``, a negative one ``NotPositive``, a support
+    of another shape ``DimensionMismatch``, and an incomplete set ``ValueError``.
     """
     require_psd(np.linalg.eigvalsh(_hermitian_part(povm.elements)))
-    target = np.eye(povm.dim) if support is None else support
+    target = np.eye(povm.dim) if support is None else np.asarray(support)
+    if target.shape != (povm.dim, povm.dim):
+        raise DimensionMismatch(f"support shape {target.shape} is not {povm.dim}x{povm.dim}")
     defect = float(np.max(np.abs(povm.total() - target)))
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:  # NaN fails too
         raise ValueError(f"elements sum to identity only within {defect:.3e}")
 
 
@@ -98,13 +100,12 @@ def analytic_povm(point: FamilyPoint) -> Povm:
 
 
 def accessible_info(ensemble: AncillaEnsemble, m: Povm) -> float:
-    """Mutual information between the ensemble label and the outcome of ``m``."""
-    d = ensemble.states.shape[1]
+    """Mutual information between the uniform ensemble label and the outcome of ``m``."""
+    n, d, _ = ensemble.states.shape
     if m.dim != d:
         raise DimensionMismatch(f"POVM dimension {m.dim} != state dimension {d}")
     cond = np.einsum("aij,kji->ak", ensemble.states, m.elements).real
-    joint = ensemble.priors[:, None] * np.clip(cond, 0.0, None)
-    return mutual_information(joint)
+    return mutual_information(np.clip(cond, 0.0, None) / n)
 
 
 def conjugate_povm(m: Povm) -> Povm:
@@ -180,29 +181,29 @@ def _retract(kets: np.ndarray) -> np.ndarray:
 
 
 def _batch_info_and_ratios(
-    kets: np.ndarray, states_cols: np.ndarray, priors: np.ndarray
+    kets: np.ndarray, states_cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-restart accessible information, log-likelihood ratios and S·k.
 
-    ``states_cols`` holds the A states of dimension d side by side as a
-    (d, A·d) matrix, so one product gives every S_a·k of the batch, laid out
-    as (R, K, A, d).  The ratios are laid out as (R, K, A).  Complex dot
-    products with a real result are taken as real dot products of the
+    ``states_cols`` holds the A states of dimension d, of weight 1/A each,
+    side by side as a (d, A·d) matrix, so one product gives every S_a·k,
+    laid out as (R, K, A, d); the ratios are laid out as (R, K, A).  Complex
+    dot products with a real result are taken as real dot products of the
     real and imaginary parts side by side (``view(float)``).
     """
     r, n, d = kets.shape
     sk = (kets.reshape(r * n, d) @ states_cols).reshape(r, n, -1, d)
     cond = np.einsum("rkx,rkax->rka", kets.view(float), sk.view(float))
-    joint = priors * np.maximum(cond, 0.0)
+    joint = np.maximum(cond, 0.0) / sk.shape[2]
     outcome = joint.sum(axis=2, keepdims=True)  # (R, K, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(joint > 0.0, np.log2(cond) - np.log2(outcome), 0.0)
     return (joint * ratios).sum(axis=(1, 2)), ratios, sk
 
 
-def _gradient(priors: np.ndarray, ratios: np.ndarray, sk: np.ndarray) -> np.ndarray:
-    """Ascent direction Σ_a p_a·ratio_a·S_a·k for every ket of the batch."""
-    return np.einsum("rka,rkax->rkx", priors * ratios, sk.view(float)).view(complex)
+def _gradient(ratios: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """Ascent direction Σ_a ratio_a·S_a·k / A, A the state count, for every ket."""
+    return np.einsum("rka,rkax->rkx", ratios / ratios.shape[2], sk.view(float)).view(complex)
 
 
 def _tangent(kets: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -268,10 +269,7 @@ def _direction(
 
 
 def _conjugate_gradient(
-    kets: np.ndarray,
-    states: np.ndarray,
-    priors: np.ndarray,
-    max_iterations: int,
+    kets: np.ndarray, states: np.ndarray, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched Riemannian conjugate-gradient ascent on complete ket sets.
 
@@ -292,8 +290,8 @@ def _conjugate_gradient(
     """
     a, _, d = states.shape
     states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
-    values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
-    grad = _tangent(kets, _gradient(priors, ratios, sk))
+    values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
+    grad = _tangent(kets, _gradient(ratios, sk))
     sq = _inner(grad, grad)
     direction, slope = grad.copy(), sq.copy()  # updated in place: no aliases of grad, sq
     step = np.full(kets.shape[0], 0.25)
@@ -320,7 +318,7 @@ def _conjugate_gradient(
         iterations += 1
 
         trial = _retract(kets + step[:, None, None] * direction)
-        trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols, priors)
+        trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols)
         ok = trial_values >= values + 1e-4 * step * slope
         at = ok.nonzero()[0]  # the kept entries
         if at.size == ok.size:
@@ -333,7 +331,7 @@ def _conjugate_gradient(
                 continue
 
         kept = trial[at]
-        both = np.concatenate((_gradient(priors, ratios[at], sk[at]), direction[at]), axis=2)
+        both = np.concatenate((_gradient(ratios[at], sk[at]), direction[at]), axis=2)
         projected = _tangent(kept, both)
         new_grad = projected[:, :, :d]
         direction[at], slope[at], sq[at] = _direction(new_grad, projected[:, :, d:], grad[at])
@@ -360,11 +358,9 @@ def optimize_povm(
     further pass, so the outcome is deterministic and ``iterations`` is
     the batch's count.
     """
-    states, priors = ensemble.states, ensemble.priors
-    d = states.shape[-1]
-
+    states = ensemble.states
     kets, values, iterations, residuals = _conjugate_gradient(
-        _random_starts(cfg.seed, cfg.restarts, d), states, priors, cfg.max_iterations
+        _random_starts(cfg.seed, cfg.restarts, states.shape[-1]), states, cfg.max_iterations
     )
     winner = int(np.argmax(values))
     return OptimizeResult(

@@ -10,15 +10,15 @@ side (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MAX_SAMPLES, require_in, require_int
 from .curves import _c22_interval
 from .errors import DimensionMismatch, InfeasiblePoint, NotNormalized, OutOfRange
-from .linalg import PAULI, bell_basis, dyads, require_finite, require_psd
-from .linalg import sqrt_psd, square_stack, von_neumann_entropy
+from .linalg import PAULI, _hermitian_part, bell_basis, dyads, require_finite
+from .linalg import require_psd, sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
@@ -42,7 +42,7 @@ def _kron_pairs(ops: np.ndarray) -> np.ndarray:
 
 
 # σ_j ⊗ σ_k, and the outcome-pair projectors P_a ⊗ P_b indexed [b, a].
-_PAULI_PAIRS = _kron_pairs(np.array(PAULI))
+_PAULI_PAIRS = _kron_pairs(PAULI)
 _OUTCOME_PAIRS = _kron_pairs(dyads(_KETS)).swapaxes(0, 1)
 
 
@@ -71,33 +71,23 @@ class FamilyPoint:
 class AncillaEnsemble:
     """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack.
 
-    Construction checks that every state is a density operator: finite
-    entries (else ``ValueError``), Hermitian (``NotHermitian``) and positive
-    (``NotPositive``), as ``von_neumann_entropy`` does, and of unit trace
-    within ``NORMALIZATION_SLACK`` (``NotNormalized``).  The entropies that
-    check computes are kept, one per state, in ``entropies``.  Both are
-    read-only, ``states`` a copy of the input, so they cannot drift apart.
+    Every state has weight 1/n.  Construction checks that each is a density
+    operator: finite entries (else ``ValueError``), Hermitian
+    (``NotHermitian``), positive (``NotPositive``) and of unit trace within
+    ``NORMALIZATION_SLACK`` (``NotNormalized``).  ``states`` is a read-only
+    copy of the input, so it cannot change after the checks.
     """
 
     states: np.ndarray
-    entropies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = square_stack(self.states).copy()
-        entropies = von_neumann_entropy(states)
-        states.flags.writeable = entropies.flags.writeable = False
-        object.__setattr__(self, "entropies", entropies)
+        require_psd(np.linalg.eigvalsh(_hermitian_part(states)))
         traces = np.einsum("kii->k", states).real
         if np.abs(traces - 1).max() > NORMALIZATION_SLACK:
             raise NotNormalized(f"state traces {traces.tolist()} are not all 1")
+        states.flags.writeable = False
         object.__setattr__(self, "states", states)
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.full(len(self.states), 1.0 / len(self.states))
-
-    def average_state(self) -> np.ndarray:
-        return np.sum(self.priors[:, None, None] * self.states, axis=0)
 
 
 def two_qubit_operator(m) -> np.ndarray:

