@@ -111,7 +111,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     """Trace out one tensor factor of an operator on H_A ⊗ H_B.
 
     ``dims`` is (dim_A, dim_B), two integers >= 1, else ``DimensionMismatch``;
-    ``keep`` selects the surviving factor, 0 for the first, 1 for the second.
+    ``keep`` selects the surviving factor, the integer 0 for the first, 1 for
+    the second, else ``DimensionMismatch``.
     Raises ``ValueError`` on a non-finite entry.
     """
     m = require_finite(m)
@@ -124,8 +125,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not factor as {da}x{db}"
         )
-    if keep not in (0, 1):
-        raise DimensionMismatch("keep must be 0 (first factor) or 1 (second)")
+    if not isinstance(keep, Integral) or isinstance(keep, bool) or keep not in (0, 1):
+        raise DimensionMismatch(f"keep={keep!r} must be 0 (first factor) or 1 (second)")
     t = m.reshape(da, db, da, db)
     if keep == 0:
         return np.trace(t, axis1=1, axis2=3)

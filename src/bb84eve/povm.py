@@ -185,14 +185,20 @@ def _batch_info_and_ratios(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-restart accessible information, log-likelihood ratios and S·k.
 
-    ``states_cols`` holds the A states of dimension d, of weight 1/A each,
-    side by side as a (d, A·d) matrix, so one product gives every S_a·k,
-    laid out as (R, K, A, d); the ratios are laid out as (R, K, A).  Complex
-    dot products with a real result are taken as real dot products of the
-    real and imaginary parts side by side (``view(float)``).
+    ``states_cols`` holds A states of dimension d, of weight 1/A each, side
+    by side as a (d, A·d) matrix, shared by every restart, or as one such
+    matrix per restart, (R, d, A·d).  So one product gives every S_a·k of
+    all restarts or of one, laid out as (R, K, A, d); the ratios are laid
+    out as (R, K, A).  Complex dot products with a real result are taken as
+    real dot products of the real and imaginary parts side by side
+    (``view(float)``).
     """
     r, n, d = kets.shape
-    sk = (kets.reshape(r * n, d) @ states_cols).reshape(r, n, -1, d)
+    if states_cols.ndim == 2:
+        sk = kets.reshape(r * n, d) @ states_cols
+    else:
+        sk = kets @ states_cols
+    sk = sk.reshape(r, n, -1, d)
     cond = np.einsum("rkx,rkax->rka", kets.view(float), sk.view(float))
     joint = np.maximum(cond, 0.0) / sk.shape[2]
     outcome = joint.sum(axis=2, keepdims=True)  # (R, K, 1)
@@ -284,12 +290,14 @@ def _conjugate_gradient(
     it ascends (``_direction``); a rejected entry keeps its point, ξ and η.
     An iteration whose trials are all kept updates the batch through a
     basic slice, with no index copies.  An entry leaves the batch once
-    ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``.  The ``kets``
+    ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``, and its states
+    leave with it.  ``states`` is one ensemble's (A, d, d) stack, shared by
+    every entry, or one such stack per entry, (R, A, d, d).  The ``kets``
     array passed in may be overwritten.  Returns the final kets, values,
     iterations and ‖ξ‖ per entry.
     """
-    a, _, d = states.shape
-    states_cols = states.transpose(2, 0, 1).reshape(d, a * d)
+    *per_restart, a, d, _ = states.shape
+    states_cols = np.moveaxis(states, -1, -3).reshape(*per_restart, d, a * d)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
     grad = _tangent(kets, _gradient(ratios, sk))
     sq = _inner(grad, grad)
@@ -313,6 +321,8 @@ def _conjugate_gradient(
             live, kets, values, grad, sq, direction, slope, step = (
                 x[keep] for x in (live, kets, values, grad, sq, direction, slope, step)
             )
+            if states_cols.ndim == 3:
+                states_cols = states_cols[keep]
             if live.size == 0:
                 break
         iterations += 1
@@ -340,6 +350,28 @@ def _conjugate_gradient(
     return out_kets, out_values, out_iterations, np.sqrt(out_sq)
 
 
+def _climb(
+    runs: list[tuple[AncillaEnsemble, int]], restarts: int, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``restarts`` restarts of ``_conjugate_gradient`` for each (ensemble,
+    seed) in ``runs``, all in one batch, each run's starts drawn from its
+    seed.
+
+    All ensembles must share their state count and dimension.  One run's
+    restarts share its states; several runs give each restart its own run's
+    states.  Returns the final kets, values, iterations and ‖ξ‖ per
+    restart, run by run.
+    """
+    d = runs[0][0].states.shape[-1]
+    if len(runs) == 1:
+        ((ensemble, seed),) = runs
+        kets, states = _random_starts(seed, restarts, d), ensemble.states
+    else:
+        kets = np.concatenate([_random_starts(seed, restarts, d) for _, seed in runs])
+        states = np.repeat(np.stack([ensemble.states for ensemble, _ in runs]), restarts, axis=0)
+    return _conjugate_gradient(kets, states, max_iterations)
+
+
 def optimize_povm(
     ensemble: AncillaEnsemble, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptimizeResult:
@@ -358,9 +390,8 @@ def optimize_povm(
     further pass, so the outcome is deterministic and ``iterations`` is
     the batch's count.
     """
-    states = ensemble.states
-    kets, values, iterations, residuals = _conjugate_gradient(
-        _random_starts(cfg.seed, cfg.restarts, states.shape[-1]), states, cfg.max_iterations
+    kets, values, iterations, residuals = _climb(
+        [(ensemble, cfg.seed)], cfg.restarts, cfg.max_iterations
     )
     winner = int(np.argmax(values))
     return OptimizeResult(

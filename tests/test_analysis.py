@@ -16,6 +16,7 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
+from bb84eve import config, povm
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
 
@@ -191,6 +192,29 @@ def test_nonsymmetric_search_no_advantage_and_deterministic():
     assert a.near_optimum_count >= 1
     with pytest.raises(OutOfRange):
         nonsymmetric_search(0.25, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.4])
+def test_nonsymmetric_search_batches_are_bounded_and_change_nothing(monkeypatch, epsilon):
+    """A search runs its accepted draws' restarts in batches of at most
+    ``config.MAX_RESTARTS``, and the report does not depend on that bound."""
+    batches = []
+    kernel = povm._conjugate_gradient
+
+    def recorder(kets, states, max_iterations):
+        batches.append(len(kets))
+        return kernel(kets, states, max_iterations)
+
+    monkeypatch.setattr(povm, "_conjugate_gradient", recorder)
+    whole = nonsymmetric_search(epsilon, 40, 42)
+    assert batches == [4 * whole.accepted]  # one batch
+    for limit in (4, 9):  # one draw's restarts per batch, then two
+        monkeypatch.setattr(config, "MAX_RESTARTS", limit)
+        batches.clear()
+        assert nonsymmetric_search(epsilon, 40, 42) == whole
+        assert max(batches) <= limit
+        assert sum(batches) == 4 * whole.accepted
+        assert len(batches) == -(-whole.accepted // (limit // 4))
 
 
 def test_nonsymmetric_search_rejects_negative_seed(monkeypatch):

@@ -388,15 +388,16 @@ def test_optimizer_rejects_negative_seed(monkeypatch):
         optimize_povm(ens, OptimizerConfig(seed=-1))
 
 
-@pytest.mark.parametrize(
-    "ensemble",
-    [
-        lambda: conditioned_ancilla(FamilyPoint(0.3, -0.4)),
-        lambda: conditioned_ancilla(FamilyPoint(0.1, -0.8)),
-        lambda: conditioned_ancilla_from_state(general_state(0.25, 0, 0, 0, 0, -0.6, 0, 0)),
-    ],
-    ids=["interior", "near-edge", "general-state"],
-)
+BATCH_ENSEMBLES = {
+    "interior": lambda: conditioned_ancilla(FamilyPoint(0.3, -0.4)),
+    "near-edge": lambda: conditioned_ancilla(FamilyPoint(0.1, -0.8)),
+    "general-state": lambda: conditioned_ancilla_from_state(
+        general_state(0.25, 0, 0, 0, 0, -0.6, 0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("ensemble", BATCH_ENSEMBLES.values(), ids=BATCH_ENSEMBLES.keys())
 def test_restart_result_does_not_depend_on_its_batch(ensemble):
     """Eight restarts run together end exactly as each one run alone: the
     same kets, value, iteration count and residual, bit for bit, whether
@@ -408,6 +409,21 @@ def test_restart_result_does_not_depend_on_its_batch(ensemble):
         alone = _conjugate_gradient(starts[i : i + 1].copy(), ens.states, 300)
         for batch, solo in zip(together, alone):
             assert np.array_equal(batch[i : i + 1], solo)
+
+
+def test_restart_result_does_not_depend_on_its_batch_mixed():
+    """Three ensembles' restarts in one batch, each restart with its own
+    states, end exactly as each ensemble's restarts run with shared states,
+    bit for bit, while the batch loses restarts at different iterations."""
+    ensembles = [make() for make in BATCH_ENSEMBLES.values()]
+    starts = _random_starts(3, 4, 4)
+    states = np.repeat(np.stack([ens.states for ens in ensembles]), 4, axis=0)
+    mixed = _conjugate_gradient(np.concatenate([starts] * 3), states, 300)
+    assert len(set(mixed[2])) > 1  # restarts leave at different iterations
+    for j, ens in enumerate(ensembles):
+        shared = _conjugate_gradient(starts.copy(), ens.states, 300)
+        for batch, own in zip(mixed, shared):
+            assert np.array_equal(batch[4 * j : 4 * j + 4], own)
 
 
 def test_optimized_povm_is_valid_and_below_collective_bound(rng):

@@ -339,6 +339,12 @@ MALFORMED_SHAPE_CALLS = {
         )
         for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2))
     },
+    **{
+        f"partial_trace keep {keep!r}": (
+            lambda rho: rho, lambda m, keep=keep: partial_trace(m, (2, 2), keep)
+        )
+        for keep in (True, 1.0)
+    },
 }
 
 
