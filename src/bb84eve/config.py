@@ -13,10 +13,10 @@ from numbers import Integral
 
 from .errors import OutOfRange
 
-# The whole restart batch is held in memory: peak RSS grows about 27 KiB
-# per restart (1000 restarts, 100 iterations, ε = 0.3, c22 = −0.5).  This
-# bounds an optimize_povm call's batch and each nonsymmetric_search batch,
-# whose restarts carry one ensemble each.
+# The whole restart batch is held in memory, each restart with its own
+# ensemble: peak RSS grows about 32 KiB per restart (1000 restarts, 100
+# iterations, ε = 0.3, c22 = −0.5).  This bounds an optimize_povm call's
+# batch and each nonsymmetric_search batch.
 MAX_RESTARTS = 1000
 MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 

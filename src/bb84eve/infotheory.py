@@ -20,9 +20,11 @@ def mutual_information(table: np.ndarray) -> float:
     """Shannon mutual information of a joint probability table, in bits.
 
     Zero entries contribute zero.  Raises ``DimensionMismatch`` unless the
-    table is 2-D, and ``NotNormalized`` unless all entries are nonnegative
-    and sum to 1 within ``NORMALIZATION_SLACK``.
+    table is 2-D, and ``NotNormalized`` for a complex array or unless all
+    entries are nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
     """
+    if np.iscomplexobj(table):
+        raise NotNormalized("table must be a real array, not a complex one")
     p = np.asarray(table, dtype=float)
     if p.ndim != 2:
         raise DimensionMismatch(f"shape {p.shape} is not a 2-D table")

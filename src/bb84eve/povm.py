@@ -185,20 +185,15 @@ def _batch_info_and_ratios(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-restart accessible information, log-likelihood ratios and S·k.
 
-    ``states_cols`` holds A states of dimension d, of weight 1/A each, side
-    by side as a (d, A·d) matrix, shared by every restart, or as one such
-    matrix per restart, (R, d, A·d).  So one product gives every S_a·k of
-    all restarts or of one, laid out as (R, K, A, d); the ratios are laid
-    out as (R, K, A).  Complex dot products with a real result are taken as
-    real dot products of the real and imaginary parts side by side
-    (``view(float)``).
+    ``states_cols`` holds each restart's A states of dimension d, of weight
+    1/A each, side by side as a (d, A·d) matrix, (R, d, A·d) in all.  So
+    one stacked product gives every S_a·k, laid out as (R, K, A, d); the
+    ratios are laid out as (R, K, A).  Complex dot products with a real
+    result are taken as real dot products of the real and imaginary parts
+    side by side (``view(float)``).
     """
     r, n, d = kets.shape
-    if states_cols.ndim == 2:
-        sk = kets.reshape(r * n, d) @ states_cols
-    else:
-        sk = kets @ states_cols
-    sk = sk.reshape(r, n, -1, d)
+    sk = (kets @ states_cols).reshape(r, n, -1, d)
     cond = np.einsum("rkx,rkax->rka", kets.view(float), sk.view(float))
     joint = np.maximum(cond, 0.0) / sk.shape[2]
     outcome = joint.sum(axis=2, keepdims=True)  # (R, K, 1)
@@ -291,13 +286,12 @@ def _conjugate_gradient(
     An iteration whose trials are all kept updates the batch through a
     basic slice, with no index copies.  An entry leaves the batch once
     ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``, and its states
-    leave with it.  ``states`` is one ensemble's (A, d, d) stack, shared by
-    every entry, or one such stack per entry, (R, A, d, d).  The ``kets``
-    array passed in may be overwritten.  Returns the final kets, values,
-    iterations and ‖ξ‖ per entry.
+    leave with it.  ``states`` holds each entry's own (A, d, d) stack,
+    (R, A, d, d) in all.  The ``kets`` array passed in may be overwritten.
+    Returns the final kets, values, iterations and ‖ξ‖ per entry.
     """
-    *per_restart, a, d, _ = states.shape
-    states_cols = np.moveaxis(states, -1, -3).reshape(*per_restart, d, a * d)
+    r, a, d, _ = states.shape
+    states_cols = states.transpose(0, 3, 1, 2).reshape(r, d, a * d)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
     grad = _tangent(kets, _gradient(ratios, sk))
     sq = _inner(grad, grad)
@@ -318,11 +312,10 @@ def _conjugate_gradient(
             out_iterations[live[done]] = iterations
             out_sq[live[done]] = sq[done]
             keep = ~done
-            live, kets, values, grad, sq, direction, slope, step = (
-                x[keep] for x in (live, kets, values, grad, sq, direction, slope, step)
+            live, kets, values, grad, sq, direction, slope, step, states_cols = (
+                x[keep]
+                for x in (live, kets, values, grad, sq, direction, slope, step, states_cols)
             )
-            if states_cols.ndim == 3:
-                states_cols = states_cols[keep]
             if live.size == 0:
                 break
         iterations += 1
@@ -354,21 +347,15 @@ def _climb(
     runs: list[tuple[AncillaEnsemble, int]], restarts: int, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``restarts`` restarts of ``_conjugate_gradient`` for each (ensemble,
-    seed) in ``runs``, all in one batch, each run's starts drawn from its
-    seed.
+    seed) in ``runs``, all in one batch, each with its run's states and its
+    starts drawn from the run's seed.
 
-    All ensembles must share their state count and dimension.  One run's
-    restarts share its states; several runs give each restart its own run's
-    states.  Returns the final kets, values, iterations and ‖ξ‖ per
-    restart, run by run.
+    All ensembles must share their state count and dimension.  Returns the
+    final kets, values, iterations and ‖ξ‖ per restart, run by run.
     """
     d = runs[0][0].states.shape[-1]
-    if len(runs) == 1:
-        ((ensemble, seed),) = runs
-        kets, states = _random_starts(seed, restarts, d), ensemble.states
-    else:
-        kets = np.concatenate([_random_starts(seed, restarts, d) for _, seed in runs])
-        states = np.repeat(np.stack([ensemble.states for ensemble, _ in runs]), restarts, axis=0)
+    kets = np.concatenate([_random_starts(seed, restarts, d) for _, seed in runs])
+    states = np.repeat(np.stack([ensemble.states for ensemble, _ in runs]), restarts, axis=0)
     return _conjugate_gradient(kets, states, max_iterations)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_SAMPLES, require_in, require_int
 from .curves import _c22_interval
-from .errors import DimensionMismatch, InfeasiblePoint, NotNormalized, OutOfRange
+from .errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized, OutOfRange
 from .linalg import PAULI, _hermitian_part, bell_basis, dyads, require_finite
 from .linalg import require_psd, sqrt_psd, square_stack
 
@@ -24,7 +24,7 @@ OUTCOMES = ("z+", "z-", "x+", "x-")
 
 FEASIBILITY_SLACK = 1e-12
 ZERO_WEIGHT = 1e-12
-# Alice's marginals and each ensemble state's trace, to within this.
+# Alice's marginals, state traces and joint tables' entries and sums, to within this.
 NORMALIZATION_SLACK = 1e-9
 
 _BELL = bell_basis()
@@ -99,12 +99,16 @@ def two_qubit_operator(m) -> np.ndarray:
 
 
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
-    """Expansion coefficients c[j, k] = tr(ρ σ_j ⊗ σ_k), real for Hermitian ρ."""
-    return np.trace(two_qubit_operator(rho) @ _PAULI_PAIRS, axis1=2, axis2=3).real
+    """Real coefficients c[j, k] = tr(ρ σ_j ⊗ σ_k) of a Hermitian ρ, else ``NotHermitian``."""
+    rho = _hermitian_part(two_qubit_operator(rho))
+    return np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3).real
 
 
 def state_from_pauli(c: np.ndarray) -> np.ndarray:
-    """Assemble (1/4) Σ c[j,k] σ_j ⊗ σ_k from a finite real 4x4 array."""
+    """Assemble (1/4) Σ c[j,k] σ_j ⊗ σ_k from a finite real 4x4 array; a
+    complex one raises ``NotHermitian``: its operator need not be Hermitian."""
+    if np.iscomplexobj(c):
+        raise NotHermitian("coefficients must be a real array, not a complex one")
     c = require_finite(c, float)
     if c.shape != (4, 4):
         raise DimensionMismatch("coefficient array must be 4x4")
@@ -225,10 +229,16 @@ def joint_table(rho: np.ndarray) -> np.ndarray:
 
     Both parties pick the x or z basis with probability 1/2, giving the
     overall factor 1/4 on each projective probability.  Row and column
-    order is (z+, z-, x+, x-).
+    order is (z+, z-, x+, x-).  Raises ``NotHermitian`` unless ρ is
+    Hermitian, and ``NotNormalized`` unless the table's entries are >= 0
+    and sum to 1, each within ``NORMALIZATION_SLACK``.
     """
-    products = two_qubit_operator(rho) @ _OUTCOME_PAIRS
-    return 0.25 * np.trace(products, axis1=2, axis2=3).real
+    rho = _hermitian_part(two_qubit_operator(rho))
+    table = 0.25 * np.trace(rho @ _OUTCOME_PAIRS, axis1=2, axis2=3).real
+    low, total = table.min(), table.sum()
+    if not (low >= -NORMALIZATION_SLACK and abs(total - 1) <= NORMALIZATION_SLACK):
+        raise NotNormalized(f"table has smallest entry {low:.3e} and sums to {float(total)}")
+    return table
 
 
 def simulate_raw_data(point: FamilyPoint, n: int, seed: int) -> np.ndarray:

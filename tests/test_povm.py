@@ -404,25 +404,26 @@ def test_restart_result_does_not_depend_on_its_batch(ensemble):
     an iteration keeps every trial, some or none."""
     ens = ensemble()
     starts = _random_starts(3, 8, 4)
-    together = _conjugate_gradient(starts.copy(), ens.states, 300)
+    states = np.repeat(ens.states[None], 8, 0)
+    together = _conjugate_gradient(starts.copy(), states, 300)
     for i in range(len(starts)):
-        alone = _conjugate_gradient(starts[i : i + 1].copy(), ens.states, 300)
+        alone = _conjugate_gradient(starts[i : i + 1].copy(), states[i : i + 1], 300)
         for batch, solo in zip(together, alone):
             assert np.array_equal(batch[i : i + 1], solo)
 
 
 def test_restart_result_does_not_depend_on_its_batch_mixed():
-    """Three ensembles' restarts in one batch, each restart with its own
-    states, end exactly as each ensemble's restarts run with shared states,
-    bit for bit, while the batch loses restarts at different iterations."""
+    """Three ensembles' restarts in one batch end exactly as each
+    ensemble's restarts run as their own batch, bit for bit, while the
+    batch loses restarts at different iterations."""
     ensembles = [make() for make in BATCH_ENSEMBLES.values()]
     starts = _random_starts(3, 4, 4)
     states = np.repeat(np.stack([ens.states for ens in ensembles]), 4, axis=0)
     mixed = _conjugate_gradient(np.concatenate([starts] * 3), states, 300)
     assert len(set(mixed[2])) > 1  # restarts leave at different iterations
-    for j, ens in enumerate(ensembles):
-        shared = _conjugate_gradient(starts.copy(), ens.states, 300)
-        for batch, own in zip(mixed, shared):
+    for j in range(len(ensembles)):
+        alone = _conjugate_gradient(starts.copy(), states[4 * j : 4 * j + 4], 300)
+        for batch, own in zip(mixed, alone):
             assert np.array_equal(batch[4 * j : 4 * j + 4], own)
 
 
@@ -505,7 +506,7 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
     for _ in range(4):
         ens = conditioned_ancilla(random_feasible_point(rng))
         states = np.stack(ens.states).astype(complex)
-        states_cols = states.transpose(2, 0, 1).reshape(d, -1)
+        states_cols = np.repeat(states.transpose(2, 0, 1).reshape(1, d, -1), r, 0)
         values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
 
         for v, restart in zip(values, dyads):
@@ -539,8 +540,8 @@ def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
     # real rejected trials along the tangent gradient, over a range of steps
     d = 4
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
-    states_cols = ens.states.transpose(2, 0, 1).reshape(d, -1)
     kets = _random_starts(11, 6, d)
+    states_cols = np.repeat(ens.states.transpose(2, 0, 1).reshape(1, d, -1), len(kets), 0)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
     eta = _tangent(kets, _gradient(ratios, sk))
     slope = _inner(eta, eta)

@@ -49,8 +49,9 @@ from bb84eve import (
     validate_povm,
     von_neumann_entropy,
 )
-from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotNormalized, NotPositive
-from bb84eve.errors import OutOfRange
+from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized
+from bb84eve.errors import NotPositive, OutOfRange
+from bb84eve.linalg import PAULI
 from bb84eve.povm import COMPLETENESS_TOL
 from bb84eve.states import _FREE_NAMES, _HIDDEN, ZERO_WEIGHT, bell_weights
 from bb84eve.states import two_qubit_operator
@@ -346,6 +347,49 @@ MALFORMED_SHAPE_CALLS = {
         for keep in (True, 1.0)
     },
 }
+
+
+# Each entry: an input of the right shape made from a density, the call
+# that must reject its values, and the error it raises.  A Hermitian,
+# unit-trace ρ + 1.5·σ_z ⊗ I gives every (bob, z-) entry of the joint table
+# 0.375 less, below zero, while the table still sums to 1.
+BAD_VALUE_CALLS = {
+    **{
+        f"{call.__name__} non-Hermitian": (
+            lambda rho: rho + np.triu(np.full((4, 4), 1e-3), 1), call, NotHermitian
+        )
+        for call in (joint_table, pauli_coefficients)
+    },
+    "joint_table trace 2": (lambda rho: 2 * rho, joint_table, NotNormalized),
+    "joint_table negative entry": (
+        lambda rho: rho + 1.5 * np.kron(PAULI[3], PAULI[0]), joint_table, NotNormalized
+    ),
+    **{
+        f"state_from_pauli {imag!r}": (
+            lambda rho, imag=imag: pauli_coefficients(rho) + imag,
+            state_from_pauli,
+            NotHermitian,
+        )
+        for imag in (0j, 1e-3j)
+    },
+    **{
+        f"mutual_information {imag!r}": (
+            lambda rho, imag=imag: joint_table(rho) + imag,
+            mutual_information,
+            NotNormalized,
+        )
+        for imag in (0j, 1e-3j)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUE_CALLS))
+@PROPERTY
+@given(densities())
+def test_bad_value_rejected(name, rho):
+    make, call, error = BAD_VALUE_CALLS[name]
+    with pytest.raises(error):
+        call(make(rho))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CALLS))
