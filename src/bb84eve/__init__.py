@@ -11,7 +11,6 @@ so ``import bb84eve`` alone loads no submodule and no numpy.
 import importlib
 
 _NAMES = {
-    "config": ("OptimizerConfig",),
     "curves": (
         "CURVES",
         "ThresholdResult",
@@ -44,6 +43,7 @@ _NAMES = {
     ),
     "povm": (
         "OptimizeResult",
+        "OptimizerConfig",
         "Povm",
         "accessible_info",
         "analytic_povm",
@@ -71,7 +71,7 @@ _NAMES = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
-_SUBMODULES = ("errors", *_NAMES)
+_SUBMODULES = ("config", "errors", *_NAMES)
 
 __all__ = [*_MODULE_OF, *_SUBMODULES]
 

@@ -15,12 +15,12 @@ from itertools import islice
 import numpy as np
 
 from . import config
-from .config import OptimizerConfig, require_in, require_int
+from .config import require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
 from .curves import _c22_interval, mi_eve_optimal, optimal_c22
 from .errors import NotPositive
 from .linalg import von_neumann_entropy
-from .povm import _climb
+from .povm import OptimizerConfig, _climb
 from .states import (
     _FREE_NAMES,
     AncillaEnsemble,
@@ -124,9 +124,11 @@ def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:
     batch, each restart against its own draw's ensemble; a batch holds at
     most ``config.MAX_RESTARTS`` restarts, further draws starting the next.
     The best value found is reported against the symmetric optimum.
+    ``trials`` must be an integer in [1, ``config.MAX_TRIALS``] and ``seed``
+    one >= 0, or ``OutOfRange`` is raised.
     """
     require_in("epsilon", epsilon, 0, 1)
-    require_int("trials", trials, 1)
+    require_int("trials", trials, 1, config.MAX_TRIALS)
     require_int("seed", seed, 0)
 
     center = np.zeros(len(_FREE_NAMES))

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 domain error (infeasible point, no root),
 2 usage error.  Output is deterministic given the flags (and seed where
 one applies); floats are printed with 12 significant digits.  Only the
 subcommands that need numpy (table, povm-check, search-nonsym) import the
-numeric modules, so thresholds and scan start without it.
+numeric modules, so thresholds and scan start without it, and without
+``dataclasses``.  An unwritable ``--out`` is a usage error, found before
+any work starts.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import asdict
 
 from . import config
 from .curves import CURVES, find_threshold, mi_eve_analytic, optimal_c22, scan_curves
@@ -52,6 +54,14 @@ def _write(text: str, out: str | None) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+
+
+def _writable_file(path: str) -> bool:
+    """Whether ``open(path, "w")`` can write ``path``, checked without creating it."""
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path) or not os.path.isdir(folder):
+        return False
+    return os.access(path if os.path.exists(path) else folder, os.W_OK)
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -161,7 +171,7 @@ def cmd_povm_check(args) -> int:
         {"check": "equal_weight_max_imag", "value": mix_imag},
     ]
     if args.optimize:
-        cfg = config.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+        cfg = povm_mod.OptimizerConfig(restarts=args.restarts, seed=args.seed)
         result = povm_mod.optimize_povm(ensemble, cfg)
         rows.append({"check": "optimizer_best", "value": result.info})
         rows.append({"check": "optimizer_gap", "value": abs(result.info - formula)})
@@ -180,8 +190,7 @@ def cmd_search_nonsym(args) -> int:
     from . import analysis
 
     report = analysis.nonsymmetric_search(args.epsilon, args.trials, args.seed)
-    data = asdict(report)
-    data["exceeds_symmetric_by"] = report.best_value - report.symmetric_optimum
+    data = dict(vars(report), exceeds_symmetric_by=report.best_value - report.symmetric_optimum)
     _emit_json(
         args.out, "search-nonsym", {"epsilon": args.epsilon, "trials": args.trials},
         [data],
@@ -238,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="also run the numerical optimizer")
     p.add_argument("--restarts", type=_int_in(1, config.MAX_RESTARTS),
-                   default=config.OptimizerConfig.restarts)
+                   default=config.DEFAULT_RESTARTS)
     p.add_argument("--seed", **seed)
 
     p = command("search-nonsym", cmd_search_nonsym, "search nonsymmetric states")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--trials", type=_int_in(1), required=True)
+    p.add_argument("--trials", type=_int_in(1, config.MAX_TRIALS), required=True)
     p.add_argument("--seed", **seed)
 
     return parser
@@ -259,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
                 "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "
                 f"at most {MAX_SCAN_POINTS} points"
             )
+    if args.out is not None and not _writable_file(args.out):
+        parser.error(
+            f"argument --out: cannot write {args.out!r}; "
+            "name a file in an existing, writable directory"
+        )
     try:
         return args.func(args)
     except (OutOfRange, NotPositive, InfeasiblePoint, NoSignChange) as exc:

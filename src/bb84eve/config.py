@@ -1,14 +1,13 @@
-"""The optimizer's knobs, sample limits, and the interval and integer checks.
+"""Size limits, the optimizer's default restart count, and the interval and
+integer checks.
 
-The command-line parser reads these for its flag bounds and defaults, and
-none of them needs numpy, so they live apart from the numeric modules.
-``nonsymmetric_search`` runs fixed settings, ``analysis.SEARCH_OPTIMIZER``,
-that no flag or argument changes.
+The command-line parser reads these for its flag bounds and defaults.  They
+need neither numpy nor ``dataclasses``, so ``thresholds`` and ``scan`` start
+without either; the optimizer's settings are ``povm.OptimizerConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import OutOfRange
@@ -18,6 +17,11 @@ from .errors import OutOfRange
 # iterations, ε = 0.3, c22 = −0.5).  This bounds an optimize_povm call's
 # batch and each nonsymmetric_search batch.
 MAX_RESTARTS = 1000
+DEFAULT_RESTARTS = 8
+# A nonsymmetric_search trial costs 1.2–2.5 ms (ε = 0.1 to 0.4, one BLAS
+# thread, 2-core x86-64 VM), so this many take up to about 40 minutes;
+# memory stays bounded at any count, so the bound is on run time.
+MAX_TRIALS = 10**6
 MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 
 
@@ -38,26 +42,3 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> None:
     ):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise OutOfRange(f"{name}={value!r} must be an integer {bound}")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for the numerical search; defaults suit four-state ensembles.
-
-    ``restarts`` lies in [1, ``MAX_RESTARTS``].  A restart stops once its
-    tangent gradient's norm is at most ``povm.STATIONARY_TOL``, or after
-    ``max_iterations`` (>= 1) iterations.  ``seed`` is >= 0.  Construction
-    raises ``OutOfRange`` for any other value.  The outcome count is not a
-    knob: each measurement has d² rank-one outcomes, d the dimension of the
-    ensemble's states, and these attain the accessible information
-    (Davies, IEEE TIT 24, 596, 1978).
-    """
-
-    restarts: int = 8
-    max_iterations: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        require_int("restarts", self.restarts, 1, MAX_RESTARTS)
-        require_int("max_iterations", self.max_iterations, 1)
-        require_int("seed", self.seed, 0)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .config import require_in
 from .errors import NoSignChange
@@ -124,17 +124,13 @@ def key_rate(epsilon: float, curve: str) -> float:
     return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(namedtuple(
+    "ThresholdResult", "curve epsilon_star residual iterations converged bracket_width"
+)):
     """A bisection root; ``converged`` says whether ``residual`` met the
     tolerance, ``bracket_width`` is the final bracket's width."""
 
-    curve: str
-    epsilon_star: float
-    residual: float
-    iterations: int
-    converged: bool
-    bracket_width: float
+    __slots__ = ()
 
     @property
     def qber(self) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OptimizerConfig, require_in
+from . import config
+from .config import require_in, require_int
 from .errors import DimensionMismatch
 from .infotheory import mutual_information
 from .linalg import _hermitian_part, dyads, require_psd, square_stack
@@ -29,6 +30,29 @@ from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 COMPLETENESS_TOL = 1e-9
 # A restart stops once its tangent gradient's norm falls to this.
 STATIONARY_TOL = 1e-5
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Knobs for the numerical search; defaults suit four-state ensembles.
+
+    ``restarts`` lies in [1, ``config.MAX_RESTARTS``].  A restart stops once
+    its tangent gradient's norm is at most ``STATIONARY_TOL``, or after
+    ``max_iterations`` (>= 1) iterations.  ``seed`` is >= 0.  Construction
+    raises ``OutOfRange`` for any other value.  The outcome count is not a
+    knob: each measurement has d² rank-one outcomes, d the dimension of the
+    ensemble's states, and these attain the accessible information
+    (Davies, IEEE TIT 24, 596, 1978).
+    """
+
+    restarts: int = config.DEFAULT_RESTARTS
+    max_iterations: int = 500
+    seed: int = 0
+
+    def __post_init__(self):
+        require_int("restarts", self.restarts, 1, config.MAX_RESTARTS)
+        require_int("max_iterations", self.max_iterations, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -236,3 +236,12 @@ def test_nonsymmetric_search_rejects_non_integer_trials_or_seed(monkeypatch, tri
     monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     with pytest.raises(OutOfRange):
         nonsymmetric_search(0.25, trials=trials, seed=seed)
+
+
+def test_nonsymmetric_search_rejects_more_than_max_trials(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw may be made")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(OutOfRange, match=rf"in \[1, {config.MAX_TRIALS}\]"):
+        nonsymmetric_search(0.25, trials=config.MAX_TRIALS + 1, seed=1)

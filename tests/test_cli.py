@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,12 +57,40 @@ def test_thresholds_bad_tolerance_exits_one(capsys):
         (["thresholds", "--all"], "thresholds_all.json"),
         (["scan", "--start", "0", "--stop", "0.5", "--step", "0.005"],
          "scan_0_0.5_0.005.csv"),
+        (["table", "--epsilon", "0.2"], "table_0.2.json"),
     ],
 )
 def test_closed_form_output_matches_golden_bytes(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+# povm-check rows that hold only roundoff; their digits may differ across
+# BLAS builds, so each is bounded instead of compared.
+ROUNDOFF_CHECKS = (
+    "completeness_residual", "formula_gap", "conjugate_gap", "equal_weight_gap",
+    "equal_weight_max_imag",
+)
+
+
+def test_povm_check_matches_golden_bytes_but_roundoff(capsys):
+    code, out, _ = run_cli(capsys, "povm-check", "--epsilon", "0.3", "--c22", "-0.4")
+    assert code == 0
+    got = out.splitlines(keepends=True)
+    want = (GOLDEN / "povm_check_0.3_-0.4.json").read_text().splitlines(keepends=True)
+    assert len(got) == len(want)
+    roundoff = {f'"check": "{name}",' for name in ROUNDOFF_CHECKS}
+    bounded = 0
+    for before, line, golden in zip(["", *got], got, want):
+        if before.strip() in roundoff:  # the "value" line of a roundoff row
+            key, value = line.split(":")
+            assert key == golden.split(":")[0]
+            assert 0 <= float(value) <= 1e-12, line
+            bounded += 1
+        else:
+            assert line == golden
+    assert bounded == len(ROUNDOFF_CHECKS)
 
 
 def test_emit_json_refuses_nan(capsys):
@@ -141,6 +170,7 @@ def test_table_infeasible_point_exits_one(capsys):
 # an integer flag's bound and its message are config.require_int's
 SIMULATE_BOUND = f"must be an integer in [0, {config.MAX_SAMPLES}]"
 RESTARTS_BOUND = f"must be an integer in [1, {config.MAX_RESTARTS}]"
+TRIALS_BOUND = f"must be an integer in [1, {config.MAX_TRIALS}]"
 
 
 @pytest.mark.parametrize(
@@ -228,8 +258,10 @@ def test_search_nonsym_one_trial(capsys):
 
 def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
     no_optimizer_start(monkeypatch)
+    too_many = str(config.MAX_TRIALS + 1)
     for argv, message in (
-        (["--epsilon", "0.3", "--trials", "0"], "value=0 must be an integer >= 1"),
+        (["--epsilon", "0.3", "--trials", "0"], f"value=0 {TRIALS_BOUND}"),
+        (["--epsilon", "0.3", "--trials", too_many], f"value={too_many} {TRIALS_BOUND}"),
         # the search's optimizer settings are fixed
         (["--epsilon", "0.3", "--trials", "2", "--restarts", "4"],
          "unrecognized arguments: --restarts 4"),
@@ -274,7 +306,47 @@ def test_negative_seed_exits_two(capsys, monkeypatch, argv):
 def test_optimizer_flag_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     args = parser.parse_args(["povm-check", "--epsilon", "0.3", "--c22", "-0.5"])
-    assert args.restarts == povm.OptimizerConfig().restarts
+    assert args.restarts == povm.OptimizerConfig().restarts == config.DEFAULT_RESTARTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--all"],
+    ["scan", "--start", "0", "--stop", "0.5", "--step", "0.01"],
+    ["table", "--epsilon", "0.2"],
+    ["povm-check", "--epsilon", "0.3", "--c22", "-0.5"],
+    ["search-nonsym", "--epsilon", "0.25", "--trials", "2"],
+])
+def test_unwritable_out_exits_two_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("no command may run")
+
+    for name in ("thresholds", "scan", "table", "povm_check", "search_nonsym"):
+        monkeypatch.setattr(cli, f"cmd_{name}", no_work)
+    (tmp_path / "file").write_text("")
+    paths = ["", str(tmp_path), str(tmp_path / "missing" / "x"), str(tmp_path / "file" / "x")]
+    for out in paths:
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", out])
+        assert err.value.code == 2, out
+        assert f"argument --out: cannot write {out!r}" in capsys.readouterr().err
+    # a folder or file the process may not write; os.access is faked, since
+    # permission bits do not stop a superuser
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    for out in (str(tmp_path / "new"), str(tmp_path / "file")):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", out])
+        assert err.value.code == 2, out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_domain_error_writes_no_out_file(capsys, tmp_path):
+    out = tmp_path / "table.json"
+    code, _, err = run_cli(
+        capsys, "table", "--epsilon", "0.2", "--c22", "0.5", "--out", str(out)
+    )
+    assert code == 1 and "error" in err
+    assert not out.exists()
 
 
 def test_help_exits_zero():
@@ -297,6 +369,8 @@ def test_help_exits_zero():
     ],
 )
 def test_closed_form_commands_never_import_numpy(argv, golden):
+    """The headline commands start without numpy, and without dataclasses
+    and the inspect module it loads."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "bb84eve.cli", *argv],
         capture_output=True,
@@ -310,7 +384,7 @@ def test_closed_form_commands_never_import_numpy(argv, golden):
         if line.startswith("import time:")
     }
     assert "bb84eve.curves" in imported
-    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    assert not [m for m in imported if m.split(".")[0] in ("numpy", "dataclasses", "inspect")]
 
 
 def test_imports_load_no_scipy():

@@ -17,6 +17,7 @@ from bb84eve import (
     FamilyPoint,
     Povm,
     accessible_info,
+    analysis,
     analytic_povm,
     bell_basis,
     bell_diagonal_state,
@@ -390,6 +391,88 @@ def test_bad_value_rejected(name, rho):
     make, call, error = BAD_VALUE_CALLS[name]
     with pytest.raises(error):
         call(make(rho))
+
+
+# Each entry: a named tolerance, written as a literal so that a changed
+# constant in src fails here; an input made from a density and off by t; the
+# call that checks it; and the error it raises once t exceeds the tolerance.
+# The test takes t at half and at twice the tolerance.
+TOLERANCE_EDGES = {
+    "HERMITICITY_TOL pauli_coefficients": (
+        1e-10, lambda rho, t: rho + t * np.eye(4, k=1), pauli_coefficients, NotHermitian
+    ),
+    "NORMALIZATION_SLACK AncillaEnsemble": (
+        1e-9, lambda rho, t: (1 + t) * np.stack([rho] * 4), AncillaEnsemble, NotNormalized
+    ),
+    "NORMALIZATION_SLACK joint_table": (
+        1e-9, lambda rho, t: (1 + t) * rho, joint_table, NotNormalized
+    ),
+    "NORMALIZATION_SLACK mutual_information": (
+        1e-9, lambda rho, t: (1 + t) * joint_table(rho), mutual_information, NotNormalized
+    ),
+    "COMPLETENESS_TOL validate_povm": (
+        1e-9,
+        lambda rho, t: Povm(np.stack((rho, (1 + t) * np.eye(4) - rho))),
+        validate_povm,
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_EDGES))
+@PROPERTY
+@given(densities())
+def test_tolerance_edge(name, rho):
+    tolerance, make, call, error = TOLERANCE_EDGES[name]
+    call(make(rho, tolerance / 2))
+    with pytest.raises(error):
+        call(make(rho, 2 * tolerance))
+
+
+@PROPERTY
+@given(unit)
+@example(0.0)
+@example(1.0)
+def test_feasibility_slack_edge(epsilon):
+    # FEASIBILITY_SLACK is 1e-12; c22 lies in [-1, 2ε - 1] and ε in [0, 1]
+    inside, outside = 5e-13, 2e-12
+    for t in (inside, -inside):
+        FamilyPoint(epsilon, 2 * epsilon - 1 + t)
+        FamilyPoint(epsilon, -1 - t)
+    FamilyPoint(1 + inside, -1.0)
+    for call in (
+        lambda: FamilyPoint(epsilon, 2 * epsilon - 1 + outside),
+        lambda: FamilyPoint(epsilon, -1 - outside),
+        lambda: FamilyPoint(1 + outside, -1.0),
+    ):
+        with pytest.raises(InfeasiblePoint):
+            call()
+
+
+@pytest.mark.parametrize("weight, alive", [(5e-13, 0.0), (2e-12, 1.0)])
+def test_zero_weight_edge(weight, alive):
+    # ZERO_WEIGHT is 1e-12: the analytic measurement drops the ancilla axes
+    # whose Bell weight is at most that, and is complete on the others
+    point = FamilyPoint(0.3, -1 + 4 * weight)  # weights 1 and 3 are `weight`
+    assert bell_weights(point)[[1, 3]] == pytest.approx([weight] * 2, rel=1e-3)
+    total = np.diag(analytic_povm(point).total()).real
+    assert np.max(np.abs(total - [1.0, alive, 1.0, alive])) <= 1e-9
+
+
+@pytest.mark.parametrize("offset, counted", [(5e-7, 1), (-5e-7, 1), (2e-6, 0), (-2e-6, 0)])
+def test_near_optimum_window_edge(monkeypatch, offset, counted):
+    # nonsymmetric_search counts a draw within 1e-6 of the symmetric optimum;
+    # one trial accepts exactly one draw, the symmetric centre, whose value
+    # the fake optimizer sets
+    target = mi_eve_optimal(0.25) + offset
+
+    def climb(runs, restarts, max_iterations):
+        return None, np.full(len(runs) * restarts, target), None, None
+
+    monkeypatch.setattr(analysis, "_climb", climb)
+    report = nonsymmetric_search(0.25, 1, 0)
+    assert (report.accepted, report.best_value) == (1, target)
+    assert report.near_optimum_count == counted
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CALLS))
