@@ -1,9 +1,9 @@
 """The max-entropy locus and the nonsymmetric-state search.
 
 ``max_entropy_c22`` checks the maxent rule of ``curves.C22_RULES``
-numerically by refining a bracket on stacked entropy evaluations, and
-``nonsymmetric_search`` probes the symmetry conjecture behind
-``curves.mi_eve_optimal``.
+numerically by refining a bracket on the entropies of the c22 segment, all
+read from one eigenbasis, and ``nonsymmetric_search`` probes the symmetry
+conjecture behind ``curves.mi_eve_optimal``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .config import require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
 from .curves import _c22_interval, mi_eve_optimal, optimal_c22
 from .errors import NotPositive
-from .linalg import von_neumann_entropy
+from .linalg import HERMITICITY_TOL, _spectrum_entropy, eig_hermitian
 from .povm import OptimizerConfig, _climb
 from .states import (
     _FREE_NAMES,
@@ -30,8 +30,9 @@ from .states import (
     general_state,
 )
 
-_GRID = 33  # states per stacked entropy evaluation
+_GRID = 33  # c22 values per round
 _ROUNDS = 3
+_UNIT = np.linspace(0.0, 1.0, _GRID)  # a round's grid, as fractions of its bracket
 
 # The optimizer settings of every accepted nonsymmetric_search draw, bar the seed.
 SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
@@ -40,22 +41,39 @@ SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
 def max_entropy_c22(epsilon: float) -> float:
     """The feasible c22 of largest state entropy (concave in c22), found numerically.
 
-    Each of ``_ROUNDS`` rounds takes the entropies of ``_GRID`` evenly spaced
-    states in one call and keeps the two grid cells around the best one; the
-    state is affine in c22, so each grid state mixes the two end states.  The
-    vertex of the parabola through the last best point and its neighbours is
-    returned, clipped to them, or the best point if the parabola is not concave.
+    The states on the c22 segment are Bell-diagonal, so they commute: one
+    eigensolve, of the c22 = -1 end state, diagonalizes both end states, and
+    ``RuntimeError`` is raised if an off-diagonal entry of either exceeds
+    ``HERMITICITY_TOL`` in that basis.  The state is affine in c22, so its
+    spectrum is too.  Each of ``_ROUNDS`` rounds takes the entropies of
+    ``_GRID`` evenly spaced states from their spectra and keeps the two grid
+    cells around the best one.  The vertex of the parabola through the last
+    best point and its neighbours is returned, clipped to them, or the best
+    point if the parabola is not concave.
     """
     require_in("epsilon", epsilon, 0, 1)
     lo, hi = _c22_interval(epsilon)
-    if hi - lo < 1e-9:
+    if hi <= lo:
         return lo
-    start = bell_diagonal_state(FamilyPoint(epsilon, lo))
-    step = (bell_diagonal_state(FamilyPoint(epsilon, hi)) - start) / (hi - lo)
+    ends = np.stack([bell_diagonal_state(FamilyPoint(epsilon, c)) for c in (lo, hi)])
+    # not the midpoint: three Bell weights tie there, and a basis of that
+    # eigenspace need not diagonalize the ends; the two that tie at c22 = -1
+    # tie on the whole segment
+    basis = eig_hermitian(ends[0]).eigenvectors
+    ends = basis.conj().T @ ends @ basis
+    off_diagonal = np.abs(ends[:, ~np.eye(len(basis), dtype=bool)]).max()
+    if off_diagonal > HERMITICITY_TOL:
+        raise RuntimeError(
+            f"the c22 segment's end states do not commute: off-diagonal entry "
+            f"{off_diagonal:.3e} exceeds {HERMITICITY_TOL:.1e} in one's eigenbasis"
+        )
+    start, end = np.diagonal(ends, axis1=1, axis2=2).real
+    slope = (end - start) / (hi - lo)
     a, b = lo, hi
     for _ in range(_ROUNDS):
-        c = np.linspace(a, b, _GRID)
-        s = von_neumann_entropy(start + (c - lo)[:, None, None] * step)
+        c = a + (b - a) * _UNIT
+        c[-1] = b  # as np.linspace: the grid ends on b itself
+        s = _spectrum_entropy(start + (c - lo)[:, None] * slope)
         best = int(np.argmax(s))
         k = min(max(best, 1), _GRID - 2)
         a, b = c[k - 1], c[k + 1]

@@ -7,7 +7,7 @@ one applies); floats are printed with 12 significant digits.  Only the
 subcommands that need numpy (table, povm-check, search-nonsym) import the
 numeric modules, so thresholds and scan start without it, and without
 ``dataclasses``.  An unwritable ``--out`` is a usage error, found before
-any work starts.
+any work starts; a write that fails anyway, on a full disk say, exits 2 too.
 """
 
 from __future__ import annotations
@@ -49,11 +49,17 @@ def _emit_json(out, command, parameters, rows, provenance) -> None:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout or to ``out``; a failed file write (a full
+    disk, say) is a usage error: one ``error:`` line and exit code 2."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out!r}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _writable_file(path: str) -> bool:

@@ -140,11 +140,16 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     shape raising ``DimensionMismatch``, and returns one entropy per matrix.
     Each must be finite, Hermitian within ``HERMITICITY_TOL`` and pass ``require_psd``.
     """
-    w = np.linalg.eigvalsh(_hermitian_part(rho))
+    s = _spectrum_entropy(np.linalg.eigvalsh(_hermitian_part(rho)))
+    return float(s) if s.ndim == 0 else s
+
+
+def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """-Σ w·log2 w in bits along the last axis of spectra that pass
+    ``require_psd``; eigenvalues at or below ``EIGENVALUE_CUTOFF`` add nothing."""
     require_psd(w)
     w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)  # log2(1) = 0 drops the term
-    s = -(w * np.log2(w)).sum(axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return -(w * np.log2(w)).sum(axis=-1)
 
 
 def bell_basis() -> np.ndarray:

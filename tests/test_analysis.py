@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bb84eve import (
     CURVES,
@@ -16,9 +17,10 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
-from bb84eve import config, povm
+from bb84eve import analysis, config, linalg, povm
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
+from bb84eve.linalg import eig_hermitian
 
 EXPECTED_THRESHOLDS = {
     "honest": 0.2928932188134524,      # 1 - sqrt(1/2)
@@ -151,6 +153,51 @@ def test_max_entropy_c22_is_the_argmax():
     for c22 in np.linspace(-1, 2 * eps - 1, 50):
         s = von_neumann_entropy(bell_diagonal_state(FamilyPoint(eps, float(c22))))
         assert s <= s_best + 1e-9
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0, exclude_min=True))
+@example(1e-12)
+@example(4e-10)  # a c22 segment narrower than 1e-9 is searched too
+@example(1.0)
+def test_max_entropy_c22_is_the_entropy_argmax_on_a_grid(epsilon):
+    """The entropy at max_entropy_c22, from an eigensolve of the real state,
+    is at least that of every state on a 65-point c22 grid, each from its
+    own eigensolve."""
+    best = von_neumann_entropy(
+        bell_diagonal_state(FamilyPoint(epsilon, max_entropy_c22(epsilon)))
+    )
+    grid = np.linspace(-1.0, 2 * epsilon - 1, 65)
+    stack = np.stack([bell_diagonal_state(FamilyPoint(epsilon, float(c))) for c in grid])
+    assert best >= von_neumann_entropy(stack).max() - 1e-12
+
+
+def test_max_entropy_c22_rejects_end_states_that_do_not_commute(monkeypatch):
+    lo = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    hi = lo.copy()
+    hi[0, 1] = hi[1, 0] = 0.1  # couples two eigenvectors of the c22 = -1 end
+    monkeypatch.setattr(
+        analysis, "bell_diagonal_state", lambda point: lo if point.c22 == -1 else hi
+    )
+    with pytest.raises(RuntimeError, match="do not commute"):
+        max_entropy_c22(0.3)
+
+
+def test_max_entropy_c22_makes_one_eigensolve(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no entropy eigensolve may run")
+
+    kernel_calls, solves = [], []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(
+        analysis, "eig_hermitian", lambda m: kernel_calls.append(m) or eig_hermitian(m)
+    )
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(linalg, "von_neumann_entropy", forbidden)
+    monkeypatch.setattr(analysis, "von_neumann_entropy", forbidden, raising=False)
+    assert abs(max_entropy_c22(0.3) + 0.49) <= 1e-6
+    assert len(kernel_calls) == len(solves) == 1
 
 
 def test_scan_curves_rows():

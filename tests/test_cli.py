@@ -1,12 +1,18 @@
+import errno
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bb84eve import cli, config, povm, states
+from bb84eve.curves import CURVES
 from bb84eve.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +97,23 @@ def test_povm_check_matches_golden_bytes_but_roundoff(capsys):
         else:
             assert line == golden
     assert bounded == len(ROUNDOFF_CHECKS)
+
+
+def test_search_nonsym_matches_golden(capsys):
+    code, out, _ = run_cli(
+        capsys, "search-nonsym", "--epsilon", "0.25", "--trials", "20", "--seed", "42"
+    )
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((GOLDEN / "search_nonsym_0.25_20_42.json").read_text())
+    (row,), (golden_row,) = got["rows"], want["rows"]
+    # Optimizer floats: bounded, not compared.  A tighter bound waits for
+    # evidence of the precision that every CI platform reproduces.
+    for key in ("best_value", "exceeds_symmetric_by"):
+        assert abs(row.pop(key) - golden_row.pop(key)) <= 1e-9, key
+    # trials, accepted, seed, near_optimum_count, best_parameters,
+    # symmetric_optimum, provenance and the rest, exactly
+    assert got == want
 
 
 def test_emit_json_refuses_nan(capsys):
@@ -347,6 +370,151 @@ def test_domain_error_writes_no_out_file(capsys, tmp_path):
     )
     assert code == 1 and "error" in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_out_onto_a_full_device_exits_two_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bb84eve.cli", "thresholds", "--all", "--out", "/dev/full"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write '/dev/full': ")
+
+
+def test_failed_out_write_exits_two(capsys, monkeypatch, tmp_path):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    out = str(tmp_path / "thresholds.json")
+    with pytest.raises(SystemExit) as err:
+        main(["thresholds", "--all", "--out", out])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out!r}: {os.strerror(errno.ENOSPC)}\n"
+
+
+# Adversarial flag values: non-finite, signed zero, subnormal, huge,
+# negative and non-numeric; None leaves the flag out.  Valid counts stay
+# small, so that no example runs a long search or optimization.
+FLOATS = (
+    "nan", "inf", "-inf", "-0.0", "0", "5e-324", "2.2e-308", "0.25", "0.5", "1",
+    "1.5", "-1", "-0.4", "1e308", "-1e308", "1e400", "abc", "",
+)
+COUNTS = ("-1", "0", "1", "1.5", "nan", "abc", "9" * 30)
+EPSILONS = ("0", "-0.0", "5e-324", "0.2", "0.25", "1")
+SEEDS = (None, "0", "7", "9" * 30)
+BAD_OUTS = ("", "folder", "missing/x", "file/x") + (
+    ("/dev/full",) if os.path.exists("/dev/full") else ()
+)
+
+
+def part(name, valid, adversarial):
+    """The argv pieces of one flag: valid ones and adversarial ones."""
+
+    def pieces(values):
+        return [[] if v is None else [f"{name}={v}"] for v in values]
+
+    return pieces(valid), pieces(adversarial)
+
+
+ARGV_PARTS = {
+    "thresholds": [
+        ([["--all"], ["--curve=hsw"], ["--curve=minconc"]],
+         [[], ["--all", "--curve=hsw"], ["--curve=bogus"]]),
+        part("--tol", (None, "1e-9", "1e-6"), FLOATS),
+    ],
+    "scan": [
+        part("--start", ("0", "-0.0", "0.1"), (None, *FLOATS)),
+        part("--stop", ("0.3", "0.5"), (None, *FLOATS)),
+        part("--step", ("0.05", "0.25"), (None, *FLOATS)),
+    ],
+    "table": [
+        part("--epsilon", EPSILONS, (None, *FLOATS)),
+        part("--c22", (None, "-1", "-0.5"), FLOATS),
+        part("--simulate", (None, "0", "10", str(config.MAX_SAMPLES)),
+             (*COUNTS, str(config.MAX_SAMPLES + 1))),
+        part("--seed", SEEDS, COUNTS),
+    ],
+    "povm-check": [
+        part("--epsilon", EPSILONS, (None, *FLOATS)),
+        part("--c22", ("-1", "-0.5", "-0.4"), (None, *FLOATS)),
+        ([[], ["--optimize"]], [["--optimize=1"]]),
+        part("--restarts", ("1", "2"), (*COUNTS, str(config.MAX_RESTARTS + 1))),
+        part("--seed", SEEDS, COUNTS),
+    ],
+    "search-nonsym": [
+        part("--epsilon", EPSILONS, (None, *FLOATS)),
+        part("--trials", ("1", "2"), (None, *COUNTS, str(config.MAX_TRIALS + 1))),
+        part("--seed", SEEDS, COUNTS),
+    ],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv with up to two adversarial flags, and an ``--out``
+    key: None for stdout, "new" for a fresh file, else a bad path."""
+    command = draw(st.sampled_from(sorted(ARGV_PARTS)))
+    parts = ARGV_PARTS[command]
+    bad = draw(st.sets(st.integers(0, len(parts) - 1), max_size=2))
+    argv = [command]
+    for i, (valid, adversarial) in enumerate(parts):
+        argv += draw(st.sampled_from(adversarial if i in bad else valid))
+    out = draw(st.one_of(st.sampled_from((None, "new")), st.sampled_from(BAD_OUTS)))
+    return argv, out
+
+
+@pytest.fixture(scope="module")
+def out_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("out")
+    (folder / "file").write_text("")
+    return folder
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"JSON holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argvs())
+def test_no_argv_ends_in_a_traceback(out_folder, argv_and_out):
+    """Every subcommand exits 0, 1 or 2 on adversarial flags; nothing but
+    ``SystemExit`` escapes, and what it writes is finite JSON (CSV for scan)."""
+    argv, out = argv_and_out
+    target = out_folder / "new"
+    paths = {
+        None: None, "new": str(target), "folder": str(out_folder),
+        "missing/x": str(out_folder / "missing" / "x"),
+        "file/x": str(out_folder / "file" / "x"),
+    }
+    if out is not None:
+        argv = [*argv, "--out", paths.get(out, out)]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    written = target.read_text() if target.exists() else stdout.getvalue()
+    target.unlink(missing_ok=True)
+    if code != 0:
+        assert written == "", argv
+    elif argv[0] == "scan":
+        for line in written.splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), argv
+    else:
+        strict_json(written)
 
 
 def test_help_exits_zero():
