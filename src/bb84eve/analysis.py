@@ -1,13 +1,15 @@
 """The max-entropy locus and the nonsymmetric-state search.
 
 ``max_entropy_c22`` checks the maxent rule of ``curves.C22_RULES``
-numerically by refining a bracket on the entropies of the c22 segment, all
-read from one eigenbasis, and ``nonsymmetric_search`` probes the symmetry
-conjecture behind ``curves.mi_eve_optimal``.
+numerically by Newton's method on the entropy's slope along the c22
+segment, whose spectrum is affine in c22 in the Bell basis, and
+``nonsymmetric_search`` probes the symmetry conjecture behind
+``curves.mi_eve_optimal``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -19,9 +21,10 @@ from .config import require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
 from .curves import _c22_interval, mi_eve_optimal, optimal_c22
 from .errors import NotPositive
-from .linalg import HERMITICITY_TOL, _spectrum_entropy, eig_hermitian
+from .linalg import HERMITICITY_TOL
 from .povm import OptimizerConfig, _climb
 from .states import (
+    _BELL,
     _FREE_NAMES,
     AncillaEnsemble,
     FamilyPoint,
@@ -30,9 +33,10 @@ from .states import (
     general_state,
 )
 
-_GRID = 33  # c22 values per round
-_ROUNDS = 3
-_UNIT = np.linspace(0.0, 1.0, _GRID)  # a round's grid, as fractions of its bracket
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+# max_entropy_c22 stops once its Newton step or its bracket on c22, which
+# lies in [-1, 1], is this short: four ulps of 1.
+_STEP_TOL = 4 * math.ulp(1.0)
 
 # The optimizer settings of every accepted nonsymmetric_search draw, bar the seed.
 SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
@@ -41,47 +45,54 @@ SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
 def max_entropy_c22(epsilon: float) -> float:
     """The feasible c22 of largest state entropy (concave in c22), found numerically.
 
-    The states on the c22 segment are Bell-diagonal, so they commute: one
-    eigensolve, of the c22 = -1 end state, diagonalizes both end states, and
-    ``RuntimeError`` is raised if an off-diagonal entry of either exceeds
-    ``HERMITICITY_TOL`` in that basis.  The state is affine in c22, so its
-    spectrum is too.  Each of ``_ROUNDS`` rounds takes the entropies of
-    ``_GRID`` evenly spaced states from their spectra and keeps the two grid
-    cells around the best one.  The vertex of the parabola through the last
-    best point and its neighbours is returned, clipped to them, or the best
-    point if the parabola is not concave.
+    The states on the c22 segment are Bell-diagonal: both end states are
+    rotated into the Bell basis, and ``RuntimeError`` is raised if an
+    off-diagonal entry of either exceeds ``HERMITICITY_TOL`` there.  The
+    state is affine in c22, so its spectrum λ(c) is too, and the entropy's
+    slope s'(c) = -Σ_i λ_i'·(ln λ_i(c) + 1) falls from +inf at c22 = -1 to
+    -inf at c22 = 2ε - 1.  Its root is found by Newton's method on s',
+    falling back to bisection of the bracket whenever a Newton step would
+    leave it, and returned once a Newton step or the bracket is at most
+    ``_STEP_TOL`` long.
     """
     require_in("epsilon", epsilon, 0, 1)
     lo, hi = _c22_interval(epsilon)
     if hi <= lo:
         return lo
     ends = np.stack([bell_diagonal_state(FamilyPoint(epsilon, c)) for c in (lo, hi)])
-    # not the midpoint: three Bell weights tie there, and a basis of that
-    # eigenspace need not diagonalize the ends; the two that tie at c22 = -1
-    # tie on the whole segment
-    basis = eig_hermitian(ends[0]).eigenvectors
-    ends = basis.conj().T @ ends @ basis
-    off_diagonal = np.abs(ends[:, ~np.eye(len(basis), dtype=bool)]).max()
-    if off_diagonal > HERMITICITY_TOL:
+    ends = _BELL.conj() @ ends @ _BELL.T
+    off_diagonal = np.abs(ends[:, _OFF_DIAGONAL]).max()
+    if not off_diagonal <= HERMITICITY_TOL:  # NaN fails too
         raise RuntimeError(
-            f"the c22 segment's end states do not commute: off-diagonal entry "
-            f"{off_diagonal:.3e} exceeds {HERMITICITY_TOL:.1e} in one's eigenbasis"
+            f"the c22 segment's end states are not diagonal in the Bell basis: "
+            f"off-diagonal entry {off_diagonal:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    start, end = np.diagonal(ends, axis1=1, axis2=2).real
-    slope = (end - start) / (hi - lo)
-    a, b = lo, hi
-    for _ in range(_ROUNDS):
-        c = a + (b - a) * _UNIT
-        c[-1] = b  # as np.linspace: the grid ends on b itself
-        s = _spectrum_entropy(start + (c - lo)[:, None] * slope)
-        best = int(np.argmax(s))
-        k = min(max(best, 1), _GRID - 2)
-        a, b = c[k - 1], c[k + 1]
-    curvature = s[k - 1] - 2 * s[k] + s[k + 1]
-    if curvature >= 0:
-        return float(c[best])
-    vertex = c[k] + 0.5 * (c[k] - a) * (s[k - 1] - s[k + 1]) / curvature
-    return float(min(max(vertex, a), b))
+    start, end = np.diagonal(ends, axis1=1, axis2=2).real.tolist()
+    slopes = [(e - s) / (hi - lo) for s, e in zip(start, end)]
+    a, b = lo, hi  # s' > 0 at a, s' < 0 at b
+    c = 0.5 * (a + b)
+    while b - a > _STEP_TOL:
+        ds = d2s = 0.0
+        for w0, k in zip(start, slopes):
+            w = w0 + (c - lo) * k
+            if w <= 0:  # at an end of the segment: s' is ±inf, no Newton step
+                ds, d2s = math.copysign(math.inf, k), math.nan
+                break
+            ds -= k * (math.log(w) + 1)
+            d2s -= k * k / w
+        if ds > 0:
+            a = c
+        elif ds < 0:
+            b = c
+        else:
+            return c
+        step = ds / d2s
+        if abs(step) <= _STEP_TOL:
+            return c - step
+        c -= step
+        if not a < c < b:  # the step left the bracket, or is NaN
+            c = 0.5 * (a + b)
+    return c
 
 
 @dataclass(frozen=True)

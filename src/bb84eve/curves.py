@@ -31,6 +31,7 @@ from .config import require_in
 from .errors import NoSignChange
 
 MAX_BISECTIONS = 64
+_LN2 = math.log(2)
 
 
 def correlation_info(x: float) -> float:
@@ -38,9 +39,13 @@ def correlation_info(x: float) -> float:
 
     Monotone increasing and convex, with value 0 at x=0 and 1 at x=1
     (the x=1 limit is taken explicitly so thresholds near the branch
-    point never see NaN).
+    point never see NaN).  Below x = 1/2 the two terms nearly cancel, and
+    the equal form x·atanh(x) + (1/2)·ln(1-x²), over ln 2, is used instead:
+    it keeps the relative error at roundoff as x -> 0.
     """
     require_in("x", x, 0, 1)
+    if x < 0.5:
+        return (x * math.atanh(x) + 0.5 * math.log1p(-x * x)) / _LN2
     low = 0.0 if x == 1.0 else 0.5 * (1 - x) * math.log2(1 - x)
     return low + 0.5 * (1 + x) * math.log2(1 + x)
 
@@ -65,7 +70,7 @@ def mi_eve_analytic(c22: float) -> float:
     Even in c22, maximal (1/2 bit) at c22 = 0, zero at c22 = ±1.
     """
     require_in("c22", c22, -1, 1)
-    return 0.5 * correlation_info(math.sqrt(max(0.0, 1 - c22 * c22)))
+    return 0.5 * correlation_info(math.sqrt((1 - c22) * (1 + c22)))
 
 
 def optimal_c22(epsilon: float) -> float:

@@ -44,10 +44,15 @@ def require_finite(m, dtype=None) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†)/2 for a matrix or a non-empty stack (..., d, d), d >= 1, that
-    passes the checks: finite entries and a Hermiticity defect of at most
-    ``HERMITICITY_TOL``.  Any other shape raises ``DimensionMismatch``."""
-    m = require_finite(m, complex)
+    """(m + m†)/2 for a matrix or a non-empty stack (..., d, d), d >= 1, with
+    a Hermiticity defect of at most ``HERMITICITY_TOL`` (else
+    ``NotHermitian``); any other shape raises ``DimensionMismatch``.
+
+    ``m`` is a complex array that has passed ``require_finite``.  Each caller
+    runs that check once, before any shape test, so a non-finite entry
+    raises ``ValueError`` whatever the shape, and no infinite entry reaches
+    the defect's subtraction, where inf - inf would warn.
+    """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.size:
         raise DimensionMismatch(f"shape {m.shape} is not a square matrix or a stack")
     adj = m.conj().swapaxes(-1, -2)
@@ -69,7 +74,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     """
     if np.ndim(m) != 2:
         raise DimensionMismatch(f"shape {np.shape(m)} is not one square matrix")
-    w, v = np.linalg.eigh(_hermitian_part(m))
+    w, v = np.linalg.eigh(_hermitian_part(require_finite(m, complex)))
     order = np.argsort(w)[::-1]
     return Spectrum(w[order], v[:, order])
 
@@ -140,16 +145,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     shape raising ``DimensionMismatch``, and returns one entropy per matrix.
     Each must be finite, Hermitian within ``HERMITICITY_TOL`` and pass ``require_psd``.
     """
-    s = _spectrum_entropy(np.linalg.eigvalsh(_hermitian_part(rho)))
-    return float(s) if s.ndim == 0 else s
-
-
-def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
-    """-Σ w·log2 w in bits along the last axis of spectra that pass
-    ``require_psd``; eigenvalues at or below ``EIGENVALUE_CUTOFF`` add nothing."""
+    w = np.linalg.eigvalsh(_hermitian_part(require_finite(rho, complex)))
     require_psd(w)
     w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)  # log2(1) = 0 drops the term
-    return -(w * np.log2(w)).sum(axis=-1)
+    s = -(w * np.log2(w)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def bell_basis() -> np.ndarray:

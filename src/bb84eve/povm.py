@@ -57,12 +57,18 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure: its elements as one (n, d, d) stack."""
+    """A positive operator-valued measure: its elements as one (n, d, d) stack.
+
+    ``elements`` is a read-only copy of the input, checked by ``square_stack``,
+    so it stays finite after construction.
+    """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", square_stack(self.elements))
+        elements = square_stack(self.elements).copy()
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ from bb84eve import (
 from bb84eve import analysis, config, linalg, povm
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
-from bb84eve.linalg import eig_hermitian
 
 EXPECTED_THRESHOLDS = {
     "honest": 0.2928932188134524,      # 1 - sqrt(1/2)
@@ -179,25 +178,34 @@ def test_max_entropy_c22_rejects_end_states_that_do_not_commute(monkeypatch):
     monkeypatch.setattr(
         analysis, "bell_diagonal_state", lambda point: lo if point.c22 == -1 else hi
     )
-    with pytest.raises(RuntimeError, match="do not commute"):
+    with pytest.raises(RuntimeError, match="not diagonal in the Bell basis"):
         max_entropy_c22(0.3)
 
 
-def test_max_entropy_c22_makes_one_eigensolve(monkeypatch):
+def test_max_entropy_c22_makes_no_eigensolve(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("no entropy eigensolve may run")
+        raise AssertionError("no eigensolve may run")
 
-    kernel_calls, solves = [], []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(
-        analysis, "eig_hermitian", lambda m: kernel_calls.append(m) or eig_hermitian(m)
-    )
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(linalg, "von_neumann_entropy", forbidden)
-    monkeypatch.setattr(analysis, "von_neumann_entropy", forbidden, raising=False)
+    for module, name in (
+        (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+        (linalg, "eig_hermitian"), (linalg, "von_neumann_entropy"),
+        (analysis, "eig_hermitian"), (analysis, "von_neumann_entropy"),
+    ):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
     assert abs(max_entropy_c22(0.3) + 0.49) <= 1e-6
-    assert len(kernel_calls) == len(solves) == 1
+
+
+def test_max_entropy_c22_is_the_maxent_rule_to_roundoff():
+    """Within 1e-12 of c22 = -(1-ε)² everywhere, also where the segment is
+    narrow (ε near 0) and where the root sits near c22 = 0 (ε near 1)."""
+    grids = (
+        np.linspace(0, 1, 2601), np.logspace(-12, 0, 2000), 1 - np.logspace(-12, -1, 400),
+    )
+    worst = max(
+        abs(max_entropy_c22(eps) + (1 - eps) ** 2)
+        for eps in map(float, np.concatenate(grids))
+    )
+    assert worst <= 1e-12
 
 
 def test_scan_curves_rows():

@@ -80,23 +80,51 @@ ROUNDOFF_CHECKS = (
 )
 
 
-def test_povm_check_matches_golden_bytes_but_roundoff(capsys):
-    code, out, _ = run_cli(capsys, "povm-check", "--epsilon", "0.3", "--c22", "-0.4")
+# povm-check --optimize rows that hold optimizer floats, bounded against the
+# golden value as in the search-nonsym golden.
+OPTIMIZER_CHECKS = ("optimizer_best", "optimizer_gap")
+
+
+def _assert_povm_check_matches_golden(capsys, golden, *flags):
+    """The povm-check output at ε = 0.3, c22 = -0.4 equals ``golden`` byte for
+    byte, bar the value lines of ROUNDOFF_CHECKS (each in [0, 1e-12]) and of
+    OPTIMIZER_CHECKS (each within 1e-9 of the golden value)."""
+    code, out, _ = run_cli(
+        capsys, "povm-check", "--epsilon", "0.3", "--c22", "-0.4", *flags
+    )
     assert code == 0
     got = out.splitlines(keepends=True)
-    want = (GOLDEN / "povm_check_0.3_-0.4.json").read_text().splitlines(keepends=True)
+    want = (GOLDEN / golden).read_text().splitlines(keepends=True)
     assert len(got) == len(want)
     roundoff = {f'"check": "{name}",' for name in ROUNDOFF_CHECKS}
+    optimizer = {f'"check": "{name}",' for name in OPTIMIZER_CHECKS}
     bounded = 0
-    for before, line, golden in zip(["", *got], got, want):
-        if before.strip() in roundoff:  # the "value" line of a roundoff row
+    for before, line, golden_line in zip(["", *got], got, want):
+        if before.strip() in roundoff | optimizer:  # the row's "value" line
             key, value = line.split(":")
-            assert key == golden.split(":")[0]
-            assert 0 <= float(value) <= 1e-12, line
+            golden_key, golden_value = golden_line.split(":")
+            assert key == golden_key
+            if before.strip() in roundoff:
+                assert 0 <= float(value) <= 1e-12, line
+            else:
+                assert abs(float(value) - float(golden_value)) <= 1e-9, line
             bounded += 1
         else:
-            assert line == golden
+            assert line == golden_line
+    return bounded
+
+
+def test_povm_check_matches_golden_bytes_but_roundoff(capsys):
+    bounded = _assert_povm_check_matches_golden(capsys, "povm_check_0.3_-0.4.json")
     assert bounded == len(ROUNDOFF_CHECKS)
+
+
+def test_povm_check_optimize_matches_golden_but_roundoff_and_optimizer(capsys):
+    bounded = _assert_povm_check_matches_golden(
+        capsys, "povm_check_0.3_-0.4_optimize_20_1.json",
+        "--optimize", "--restarts", "20", "--seed", "1",
+    )
+    assert bounded == len(ROUNDOFF_CHECKS) + len(OPTIMIZER_CHECKS)
 
 
 def test_search_nonsym_matches_golden(capsys):

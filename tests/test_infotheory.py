@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,47 @@ def test_correlation_info_monotone_and_convex():
     y = np.array([correlation_info(v) for v in x])
     assert np.all(np.diff(y) >= 0)
     assert np.all(np.diff(y, 2) >= -1e-12)
+
+
+def _correlation_info_exact(x: Decimal) -> Decimal:
+    """(1/2)[(1-x)log2(1-x) + (1+x)log2(1+x)] in decimal arithmetic, to
+    about 50 digits.
+
+    The two terms cancel to about x²/(2 ln 2), so the precision grows with
+    x's exponent: at a fixed 50 digits their rounding would swamp the sum
+    below about x = 1e-25, and the reference, not the code, would be wrong.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * abs(x.adjusted())
+        low = 0 if x == 1 else (1 - x) * (1 - x).ln()
+        return (low + (1 + x) * (1 + x).ln()) / (2 * Decimal(2).ln())
+
+
+def _relative_error(got: float, exact: Decimal) -> float:
+    return float(abs(Decimal(got) - exact) / exact)
+
+
+def test_correlation_info_keeps_its_relative_accuracy_down_to_tiny_x():
+    xs = 10.0 ** np.random.default_rng(5).uniform(-150, 0, 1000)
+    worst = max(
+        _relative_error(correlation_info(x), _correlation_info_exact(Decimal(x)))
+        for x in map(float, xs)
+    )
+    assert worst <= 1e-14
+
+
+def test_mi_eve_analytic_keeps_its_relative_accuracy_near_c22_of_one():
+    """1 - c22² is formed as (1 - c22)(1 + c22), which loses nothing near ±1."""
+    deltas = 10.0 ** np.random.default_rng(6).uniform(-16, 0, 500)
+    worst = 0.0
+    for c22 in (sign * (1 - d) for d in map(float, deltas) for sign in (1, -1)):
+        c = Decimal(c22)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            x = ((1 - c) * (1 + c)).sqrt()
+        exact = _correlation_info_exact(x) / 2
+        worst = max(worst, _relative_error(mi_eve_analytic(c22), exact))
+    assert worst <= 1e-14
 
 
 def test_mi_alice_bob_values():

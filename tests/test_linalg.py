@@ -11,7 +11,10 @@ from bb84eve import (
     von_neumann_entropy,
 )
 from bb84eve.errors import DimensionMismatch, NotHermitian, NotPositive
+from bb84eve.infotheory import concurrence
 from bb84eve.linalg import sqrt_psd
+from bb84eve.povm import Povm, validate_povm
+from bb84eve.states import AncillaEnsemble, joint_table, pauli_coefficients
 from conftest import random_density, random_unitary
 
 
@@ -149,3 +152,65 @@ def test_bell_basis_explicit_kets():
     assert np.allclose(kets[0], [0, s, -s, 0])
     # fourth: (|z+ z+> - |z- z->)/sqrt(2)
     assert np.allclose(kets[3], [s, 0, 0, -s])
+
+
+# Every public consumer of the matrix checks, each fed one matrix; the stack
+# consumers get it as a stack of one.
+MATRIX_CONSUMERS = {
+    "von_neumann_entropy": von_neumann_entropy,
+    "eig_hermitian": eig_hermitian,
+    "pauli_coefficients": pauli_coefficients,
+    "joint_table": joint_table,
+    "concurrence": concurrence,
+    "AncillaEnsemble": lambda m: AncillaEnsemble(np.asarray(m)[None]),
+    "validate_povm": lambda m: validate_povm(Povm(np.asarray(m)[None])),
+}
+
+
+def _mixed_with(*entries):
+    """I/4 with each (row, column, value) entry added."""
+    m = np.eye(4, dtype=complex) / 4
+    for i, j, value in entries:
+        m[i, j] += value
+    return m
+
+
+def _bad_matrices():
+    """(name, matrix, the type every consumer raises, {consumer: other type})."""
+    for v in (np.nan, np.inf, -np.inf):
+        for part, unit in (("real", 1), ("imag", 1j)):
+            for place, i, j in (("diagonal", 0, 0), ("off-diagonal", 0, 1)):
+                yield f"{v} {part} {place}", _mixed_with((i, j, v * unit)), ValueError, {}
+        yield f"{v} Hermitian pair", _mixed_with((0, 1, v), (1, 0, v)), ValueError, {}
+    non_square = np.zeros((4, 3), dtype=complex)
+    yield "non-square", non_square, DimensionMismatch, {}
+    non_square = non_square.copy()
+    non_square[0, 0] = np.nan
+    yield "non-square, a NaN", non_square, ValueError, {}  # the entry wins
+    yield "1-D", np.full(4, 0.25), DimensionMismatch, {}
+    # eig_hermitian tests the rank before the entries
+    yield "1-D, a NaN", np.array([np.nan, 0.25, 0.25, 0.25]), ValueError, {
+        "eig_hermitian": DimensionMismatch
+    }
+    yield "empty", np.zeros((0, 0)), DimensionMismatch, {}
+    yield "empty stack", np.zeros((0, 4, 4)), DimensionMismatch, {}
+    yield "non-Hermitian off-diagonal", _mixed_with((0, 1, 0.1)), NotHermitian, {}
+    yield "non-Hermitian diagonal", _mixed_with((0, 0, 0.1j)), NotHermitian, {}
+    yield "non-Hermitian, a NaN", _mixed_with((0, 1, 0.1), (2, 2, np.nan)), ValueError, {}
+
+
+@pytest.mark.parametrize("consumer", MATRIX_CONSUMERS)
+def test_matrix_checks_raise_their_error_type(consumer):
+    """Each bad matrix raises exactly its type, not merely a ValueError:
+    a non-finite entry wins over a bad shape and over a Hermiticity defect."""
+    wrong = []
+    for name, m, raises, overrides in _bad_matrices():
+        want = overrides.get(consumer, raises)
+        try:
+            MATRIX_CONSUMERS[consumer](m)
+            got = None
+        except ValueError as e:
+            got = type(e)
+        if got is not want:
+            wrong.append(f"{name}: {got} instead of {want}")
+    assert not wrong, wrong

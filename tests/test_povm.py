@@ -146,6 +146,15 @@ def test_ancilla_ensemble_keeps_a_read_only_copy_of_its_states():
         ensemble.states[0] = np.eye(4) / 4
 
 
+def test_povm_keeps_a_read_only_copy_of_its_elements():
+    elements = np.stack([np.eye(4, dtype=complex) / 4] * 4)
+    m = Povm(elements)
+    elements[0, 0, 0] = np.nan
+    assert np.isfinite(m.elements).all()
+    with pytest.raises(ValueError, match="read-only"):
+        m.elements[0, 0, 0] = np.inf
+
+
 def test_accessible_info_single_outcome_is_zero():
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     trivial = Povm(elements=(np.eye(4, dtype=complex),))
