@@ -104,7 +104,8 @@ class SearchReport:
     conclusion is drawn from them.  It can also fall short of the best
     sampled state's accessible information: each restart stops after
     ``SEARCH_OPTIMIZER.max_iterations`` iterations, which many restarts
-    reach before they are stationary.  A draw's value is the best of its
+    reach before they are stationary (124 of 364 at seed 42, 200 trials,
+    ε = 0.1, 0.25 and 0.4).  A draw's value is the best of its
     restarts, whichever batch of at most ``config.MAX_RESTARTS`` restarts
     they ran in; the batching changes no field.
     """

@@ -18,9 +18,9 @@ from .errors import OutOfRange
 # batch and each nonsymmetric_search batch.
 MAX_RESTARTS = 1000
 DEFAULT_RESTARTS = 8
-# A nonsymmetric_search trial costs 1.2–2.5 ms (ε = 0.1 to 0.4, one BLAS
-# thread, 2-core x86-64 VM), so this many take up to about 40 minutes;
-# memory stays bounded at any count, so the bound is on run time.
+# A nonsymmetric_search trial costs 1.3–3.6 ms (ε = 0.1 to 0.4, 1000
+# trials, one BLAS thread, 2-core x86-64 VM), so this many take up to about
+# an hour; memory stays bounded at any count, so the bound is on run time.
 MAX_TRIALS = 10**6
 MAX_SAMPLES = 2**63 - 1  # the largest count numpy's multinomial accepts
 

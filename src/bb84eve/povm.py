@@ -10,12 +10,13 @@ still resolve the identity on the ensemble's support.
 The optimizer makes no use of that form.  It climbs the accessible
 information over all complete sets of d² outcome kets by Riemannian
 conjugate gradient, with hybrid Hestenes–Stiefel/Dai–Yuan directions and
-a step that backtracks to the peak of a fitted quadratic, and each random
-restart stops at a stationary point or at the iteration cap.
+a step that moves to the peak of a quadratic fitted to each trial, and
+each random restart stops at a stationary point or at the iteration cap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,7 @@ class OptimizeResult:
     restart_residuals: tuple[float, ...]
 
 
+@functools.lru_cache(maxsize=1)
 def _random_starts(seed: int, restarts: int, d: int) -> np.ndarray:
     """Per restart, d² kets: the columns of d random unitaries, scaled so
     that their dyads sum to the identity.
@@ -186,7 +188,9 @@ def _random_starts(seed: int, restarts: int, d: int) -> np.ndarray:
     Restart i draws from the i-th child of ``seed``'s sequence, the real
     and imaginary parts of each unitary's Gaussian matrix in turn; the
     phases of R's diagonal are moved into Q, so the unitaries are
-    Haar-distributed.
+    Haar-distributed.  The last call's starts are kept, read-only, so
+    repeated ``optimize_povm`` calls with one config draw them once; the
+    one-entry cache holds no more than that call allocated.
     """
     g = np.empty((restarts, d, d, d), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
@@ -195,7 +199,9 @@ def _random_starts(seed: int, restarts: int, d: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r, axis1=2, axis2=3)
     q = q * (phases / np.abs(phases))[:, :, None, :]
-    return q.swapaxes(2, 3).reshape(restarts, d * d, d) / np.sqrt(d)
+    starts = q.swapaxes(2, 3).reshape(restarts, d * d, d) / np.sqrt(d)
+    starts.flags.writeable = False
+    return starts
 
 
 def _retract(kets: np.ndarray) -> np.ndarray:
@@ -252,21 +258,26 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("rki,rki->r", x.view(float), y.view(float))
 
 
-def _backtrack(step: np.ndarray, slope: np.ndarray, shortfall: np.ndarray) -> np.ndarray:
-    """The step to try after a rejected trial of length t = ``step``.
+def _next_step(
+    step: np.ndarray, slope: np.ndarray, shortfall: np.ndarray, kept: np.ndarray | bool
+) -> np.ndarray:
+    """The step to try after a trial of length t = ``step``, kept or not.
 
     Along t ↦ R(K + tη) the value f has slope 2⟨ξ, η⟩ at 0, ``slope`` being
     ⟨ξ, η⟩.  The quadratic through f(0), that slope and f(t) peaks at
     ⟨ξ, η⟩·t² / ``shortfall``, where ``shortfall`` = f(0) + 2⟨ξ, η⟩·t − f(t)
     is positive on every Armijo rejection, so the quadratic is concave.  The
-    peak is clipped to [0.1t, 0.5t] (Nocedal and Wright, Numerical
-    Optimization, 2006, §3.5).  A ``shortfall`` <= 0 (no rejection) has no
-    peak and gives 0.5t.
+    peak is clipped to [0.1t, 0.5t] after a rejected trial and to [1.2t, 3t]
+    after a kept one (Nocedal and Wright, Numerical Optimization, 2006,
+    §3.5).  A ``shortfall`` <= 0 gives a convex fit with no peak: 0.5t after
+    a rejection, 3t after a kept trial.
     """
     peak = np.divide(
         slope * step**2, shortfall, out=np.full_like(step, np.inf), where=shortfall > 0.0
     )
-    return np.minimum(np.maximum(peak, 0.1 * step), 0.5 * step)
+    lo = np.where(kept, 1.2, 0.1) * step
+    hi = np.where(kept, 3.0, 0.5) * step
+    return np.minimum(np.maximum(peak, lo), hi)
 
 
 def _direction(
@@ -306,13 +317,13 @@ def _conjugate_gradient(
 
     Each iteration tries one step t along the direction η of every live
     entry and keeps it if it gains at least 1e-4·t·⟨ξ, η⟩ (Armijo), ξ the
-    tangent gradient.  A kept step grows t by 1.5; after a rejected one the
-    next t is the peak of the quadratic fitted to the trial (``_backtrack``),
-    a fit that runs only in an iteration that rejects some trial.  Only the
-    kept trials get a new gradient and direction, written over their
-    entries' old ones: ξ' + β·(old η projected onto the new tangent space),
-    with the hybrid Hestenes–Stiefel/Dai–Yuan β, falling back to ξ' unless
-    it ascends (``_direction``); a rejected entry keeps its point, ξ and η.
+    tangent gradient.  The next t is the peak of the quadratic fitted to
+    the trial, clipped to [1.2t, 3t] after a kept one and to [0.1t, 0.5t]
+    after a rejected one (``_next_step``).  Only the kept trials get a new
+    gradient and direction, written over their entries' old ones: ξ' +
+    β·(old η projected onto the new tangent space), with the hybrid
+    Hestenes–Stiefel/Dai–Yuan β, falling back to ξ' unless it ascends
+    (``_direction``); a rejected entry keeps its point, ξ and η.
     An iteration whose trials are all kept updates the batch through a
     basic slice, with no index copies.  An entry leaves the batch once
     ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``, and its states
@@ -353,15 +364,12 @@ def _conjugate_gradient(
         trial = _retract(kets + step[:, None, None] * direction)
         trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols)
         ok = trial_values >= values + 1e-4 * step * slope
+        step = _next_step(step, slope, values + 2 * step * slope - trial_values, ok)
         at = ok.nonzero()[0]  # the kept entries
         if at.size == ok.size:
-            step *= 1.5
             at = slice(None)  # all of them: a basic slice, so no index copies
-        else:
-            shortfall = values + 2 * step * slope - trial_values
-            step = np.where(ok, 1.5 * step, _backtrack(step, slope, shortfall))
-            if at.size == 0:
-                continue
+        elif at.size == 0:
+            continue
 
         kept = trial[at]
         both = np.concatenate((_gradient(ratios[at], sk[at]), direction[at]), axis=2)
@@ -384,6 +392,7 @@ def _climb(
     final kets, values, iterations and ‖ξ‖ per restart, run by run.
     """
     d = runs[0][0].states.shape[-1]
+    # a copy: the ascent writes over its kets, never over the cached starts
     kets = np.concatenate([_random_starts(seed, restarts, d) for _, seed in runs])
     states = np.repeat(np.stack([ensemble.states for ensemble, _ in runs]), restarts, axis=0)
     return _conjugate_gradient(kets, states, max_iterations)
@@ -399,13 +408,14 @@ def optimize_povm(
     isometry K, K†K = I, and the accessible information is ascended on that
     manifold by Riemannian conjugate gradient (Absil, Mahony and Sepulchre,
     2008, ch. 8) with the hybrid Hestenes–Stiefel/Dai–Yuan β and an Armijo
-    step that, when a trial fails, moves to the peak of the quadratic
+    step that, after every trial, moves to the peak of the quadratic
     fitted to it (``_conjugate_gradient``).  Restarts start from seeds
-    derived from (seed, restart index) and run as one batch, each leaving
-    it once stationary (tangent gradient norm at most ``STATIONARY_TOL``,
-    Holevo's first-order condition); the best restart wins, with no
-    further pass, so the outcome is deterministic and ``iterations`` is
-    the batch's count.
+    derived from (seed, restart index), drawn once for repeated calls with
+    one config, and run as one batch, each leaving it once stationary
+    (tangent gradient norm at most ``STATIONARY_TOL``, Holevo's
+    first-order condition); the best restart wins, with no further pass,
+    so the outcome is deterministic and ``iterations`` is the batch's
+    count.
     """
     kets, values, iterations, residuals = _climb(
         [(ensemble, cfg.seed)], cfg.restarts, cfg.max_iterations

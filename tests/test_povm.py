@@ -33,11 +33,11 @@ from bb84eve.linalg import dyads
 from bb84eve import povm as povm_mod
 from bb84eve.povm import (
     STATIONARY_TOL,
-    _backtrack,
     _batch_info_and_ratios,
     _conjugate_gradient,
     _gradient,
     _inner,
+    _next_step,
     _random_starts,
     _retract,
     _tangent,
@@ -541,12 +541,16 @@ def test_batch_kernel_matches_accessible_info_and_reference_gradient(rng):
         assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * (1 + np.abs(slope).max())
 
 
-def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
+def test_next_step_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
     # the peak of q(s) = 2s − shortfall·s² (t = 1, slope 1, f(0) = 0) is 1/shortfall
-    got = _backtrack(np.ones(4), np.ones(4), np.array([3.0, 100.0, 1.5, -1.0]))
+    got = _next_step(np.ones(4), np.ones(4), np.array([3.0, 100.0, 1.5, -1.0]), False)
     assert np.allclose(got, [1 / 3, 0.1, 0.5, 0.5], rtol=0, atol=1e-15)
+    # after a kept trial the peak is clipped to [1.2t, 3t], and a convex fit
+    # (shortfall <= 0) has no peak and gives 3t
+    got = _next_step(np.full(5, 2.0), np.ones(5), np.array([1.0, 0.5, 8.0, 0.0, -1.0]), True)
+    assert np.allclose(got, [4.0, 6.0, 2.4, 6.0, 6.0], rtol=0, atol=1e-15)
 
-    # real rejected trials along the tangent gradient, over a range of steps
+    # real trials along the tangent gradient, over a range of steps
     d = 4
     ens = conditioned_ancilla(FamilyPoint(0.3, -0.5))
     kets = _random_starts(11, 6, d)
@@ -554,13 +558,14 @@ def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
     eta = _tangent(kets, _gradient(ratios, sk))
     slope = _inner(eta, eta)
-    rejected = unclipped = 0
+    rejected = unclipped = kept_unclipped = 0
     for t in np.geomspace(0.05, 20.0, 12):
         step = np.full(len(kets), t)
         trial, _, _ = _batch_info_and_ratios(_retract(kets + t * eta), states_cols)
         bad = trial < values + 1e-4 * step * slope
         shortfall = values + 2 * step * slope - trial
-        nxt = _backtrack(step, slope, shortfall)[bad]
+        both = _next_step(step, slope, shortfall, ~bad)
+        nxt = both[bad]
         assert np.all((0.1 * t <= nxt) & (nxt <= 0.5 * t))
         # q(s) = f(0) + 2·slope·s + a·s² through f(t) is concave, and an
         # unclipped step is where q' vanishes
@@ -571,7 +576,45 @@ def test_backtrack_takes_the_clipped_peak_of_the_fitted_quadratic(rng):
         assert np.all(np.abs(q_prime[inside]) <= 1e-9 * slope[bad][inside])
         rejected += bad.sum()
         unclipped += inside.sum()
-    assert rejected and unclipped
+
+        # kept trials: the same fit, clipped to [1.2t, 3t], 3t where it is convex
+        good = ~bad
+        nxt = both[good]
+        assert np.all((1.2 * t <= nxt) & (nxt <= 3 * t))
+        a = ((trial - values - 2 * t * slope) / t**2)[good]
+        assert np.all(nxt[a >= 0] == 3 * t)
+        inside = (1.2 * t < nxt) & (nxt < 3 * t)
+        assert np.all(a[inside] < 0)
+        q_prime = 2 * slope[good] + 2 * a * nxt
+        assert np.all(np.abs(q_prime[inside]) <= 1e-9 * slope[good][inside])
+        kept_unclipped += inside.sum()
+    assert rejected and unclipped and kept_unclipped
+
+
+def test_random_starts_keep_one_read_only_entry():
+    assert _random_starts.cache_info().maxsize == 1
+    starts = _random_starts(5, 3, 4)
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        starts[0, 0, 0] = 0
+    assert _random_starts(5, 3, 4) is starts
+    assert np.array_equal(starts, _random_starts.__wrapped__(5, 3, 4))
+
+
+def test_optimizer_result_is_the_same_from_cached_starts():
+    """A second call with one config reuses the cached starts and returns
+    what the first call, which drew them, returned."""
+    _random_starts.cache_clear()
+    ens = conditioned_ancilla(FamilyPoint(0.3, -0.4))
+    cfg = OptimizerConfig(restarts=4, max_iterations=100, seed=2)
+    miss = optimize_povm(ens, cfg)
+    assert _random_starts.cache_info().hits == 0
+    hit = optimize_povm(ens, cfg)
+    assert _random_starts.cache_info().hits == 1
+    assert np.array_equal(miss.povm.elements, hit.povm.elements)
+    for field in ("info", "restart_values", "iterations", "restart_iterations"):
+        assert getattr(miss, field) == getattr(hit, field)
+    assert miss.restart_residuals == hit.restart_residuals
 
 
 def test_every_new_direction_has_nonnegative_beta_and_ascends(monkeypatch):
