@@ -2,7 +2,7 @@
 
 ``max_entropy_c22`` checks the maxent rule of ``curves.C22_RULES``
 numerically by Newton's method on the entropy's slope along the c22
-segment, whose spectrum is affine in c22 in the Bell basis, and
+segment, whose spectrum is the Bell weights, affine in c22, and
 ``nonsymmetric_search`` probes the symmetry conjecture behind
 ``curves.mi_eve_optimal``.
 """
@@ -21,19 +21,16 @@ from .config import require_in, require_int
 from .curves import find_threshold  # noqa: F401  perfbench traces analysis.find_threshold
 from .curves import _c22_interval, mi_eve_optimal, optimal_c22
 from .errors import NotPositive
-from .linalg import HERMITICITY_TOL
 from .povm import OptimizerConfig, _climb
 from .states import (
-    _BELL,
     _FREE_NAMES,
     AncillaEnsemble,
     FamilyPoint,
-    bell_diagonal_state,
+    bell_weights,
     conditioned_ancilla_from_state,
     general_state,
 )
 
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 # max_entropy_c22 stops once its Newton step or its bracket on c22, which
 # lies in [-1, 1], is this short: four ulps of 1.
 _STEP_TOL = 4 * math.ulp(1.0)
@@ -45,29 +42,19 @@ SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
 def max_entropy_c22(epsilon: float) -> float:
     """The feasible c22 of largest state entropy (concave in c22), found numerically.
 
-    The states on the c22 segment are Bell-diagonal: both end states are
-    rotated into the Bell basis, and ``RuntimeError`` is raised if an
-    off-diagonal entry of either exceeds ``HERMITICITY_TOL`` there.  The
-    state is affine in c22, so its spectrum λ(c) is too, and the entropy's
-    slope s'(c) = -Σ_i λ_i'·(ln λ_i(c) + 1) falls from +inf at c22 = -1 to
-    -inf at c22 = 2ε - 1.  Its root is found by Newton's method on s',
-    falling back to bisection of the bracket whenever a Newton step would
-    leave it, and returned once a Newton step or the bracket is at most
-    ``_STEP_TOL`` long.
+    The states on the c22 segment are Bell-diagonal, so their spectrum
+    λ(c) is the Bell weights, affine in c22 between those at the segment's
+    two ends.  The entropy's slope s'(c) = -Σ_i λ_i'·(ln λ_i(c) + 1) falls
+    from +inf at c22 = -1 to -inf at c22 = 2ε - 1.  Its root is found by
+    Newton's method on s', falling back to bisection of the bracket
+    whenever a Newton step would leave it, and returned once a Newton step
+    or the bracket is at most ``_STEP_TOL`` long.
     """
     require_in("epsilon", epsilon, 0, 1)
     lo, hi = _c22_interval(epsilon)
     if hi <= lo:
         return lo
-    ends = np.stack([bell_diagonal_state(FamilyPoint(epsilon, c)) for c in (lo, hi)])
-    ends = _BELL.conj() @ ends @ _BELL.T
-    off_diagonal = np.abs(ends[:, _OFF_DIAGONAL]).max()
-    if not off_diagonal <= HERMITICITY_TOL:  # NaN fails too
-        raise RuntimeError(
-            f"the c22 segment's end states are not diagonal in the Bell basis: "
-            f"off-diagonal entry {off_diagonal:.3e} exceeds {HERMITICITY_TOL:.1e}"
-        )
-    start, end = np.diagonal(ends, axis1=1, axis2=2).real.tolist()
+    start, end = (bell_weights(FamilyPoint(epsilon, c)).tolist() for c in (lo, hi))
     slopes = [(e - s) / (hi - lo) for s, e in zip(start, end)]
     a, b = lo, hi  # s' > 0 at a, s' < 0 at b
     c = 0.5 * (a + b)

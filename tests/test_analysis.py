@@ -17,7 +17,7 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
-from bb84eve import analysis, config, linalg, povm
+from bb84eve import analysis, config, linalg, povm, states
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
 
@@ -171,25 +171,15 @@ def test_max_entropy_c22_is_the_entropy_argmax_on_a_grid(epsilon):
     assert best >= von_neumann_entropy(stack).max() - 1e-12
 
 
-def test_max_entropy_c22_rejects_end_states_that_do_not_commute(monkeypatch):
-    lo = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-    hi = lo.copy()
-    hi[0, 1] = hi[1, 0] = 0.1  # couples two eigenvectors of the c22 = -1 end
-    monkeypatch.setattr(
-        analysis, "bell_diagonal_state", lambda point: lo if point.c22 == -1 else hi
-    )
-    with pytest.raises(RuntimeError, match="not diagonal in the Bell basis"):
-        max_entropy_c22(0.3)
-
-
 def test_max_entropy_c22_makes_no_eigensolve(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("no eigensolve may run")
+        raise AssertionError("no eigensolve may run and no state matrix be built")
 
     for module, name in (
         (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
         (linalg, "eig_hermitian"), (linalg, "von_neumann_entropy"),
         (analysis, "eig_hermitian"), (analysis, "von_neumann_entropy"),
+        (states, "bell_diagonal_state"), (analysis, "bell_diagonal_state"),
     ):
         monkeypatch.setattr(module, name, forbidden, raising=False)
     assert abs(max_entropy_c22(0.3) + 0.49) <= 1e-6

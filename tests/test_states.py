@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bb84eve import (
     FamilyPoint,
@@ -69,6 +70,22 @@ def test_bell_diagonal_weights_direct_evaluation():
     assert np.allclose(
         bell_weights(FamilyPoint(0.5, -0.5)), [0.625, 0.125, 0.125, 0.125]
     )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(0.3, 0.0)  # the c22 = -1 edge
+@example(0.3, 1.0)  # the c22 = 2ε - 1 edge
+@example(0.0, 0.0)
+@example(1.0, 0.0)
+@example(1.0, 1.0)
+def test_bell_diagonal_state_is_diagonal_in_the_bell_basis(epsilon, t):
+    """In the Bell basis the state is diag(bell_weights): max_entropy_c22
+    reads the c22 segment's spectra from the weights alone."""
+    point = FamilyPoint(epsilon, -1 + 2 * epsilon * t)
+    u = bell_basis()
+    rotated = u.conj() @ bell_diagonal_state(point) @ u.T
+    assert np.max(np.abs(rotated - np.diag(bell_weights(point)))) <= 1e-14
 
 
 def test_bell_diagonal_reduces_to_unbiased_noise():

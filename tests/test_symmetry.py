@@ -1,0 +1,114 @@
+"""Premises of the twirl argument that the symmetric family suffices.
+
+The twirl is T(ρ) = ¼·Σ_k (σ_k⊗σ_k) ρ (σ_k⊗σ_k), k = 0..3 (Kraus, Gisin
+and Renner, PRL 95, 080501, 2005).  Each conjugation fixes the measured
+table and c22 and flips the sign of some hidden coefficients, so T maps
+every state that fits the data to the symmetric state with its c22; and
+each leaves Eve's Holevo quantity as it was.
+
+The states are drawn from ``general_state`` with no negative eigenvalue:
+``general_state`` accepts eigenvalues down to -1e-10, which the canonical
+purification's square root reads as zeros, so such a state and its
+conjugates are not exactly the states the two sides of a check see.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from bb84eve import conditioned_ancilla_from_state, general_state, hsw_bound
+from bb84eve.errors import NotPositive
+from bb84eve.linalg import PAULI
+from bb84eve.states import _FREE_NAMES, _HIDDEN
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+# (re, im) parts of σ_0..σ_3 as integer arrays.
+_RE, _IM = PAULI.real.astype(int), PAULI.imag.astype(int)
+# σ_k⊗σ_k, k = 0..3, each its own inverse
+_FLIPS = [np.kron(s, s) for s in PAULI]
+
+
+def _mul(a, b):
+    """Product of two Gaussian-integer matrices given as (re, im) pairs."""
+    return a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0]
+
+
+def _kron(a, b):
+    """Kronecker product of two Gaussian-integer matrices as (re, im) pairs."""
+    return (
+        np.kron(a[0], b[0]) - np.kron(a[1], b[1]),
+        np.kron(a[0], b[1]) + np.kron(a[1], b[0]),
+    )
+
+
+def _pair(j, k):
+    return _kron((_RE[j], _IM[j]), (_RE[k], _IM[k]))
+
+
+def _sign(k, i, j):
+    """s with (σ_k⊗σ_k)(σ_i⊗σ_j)(σ_k⊗σ_k) = s·σ_i⊗σ_j, in integer arithmetic."""
+    flip, pair = _pair(k, k), _pair(i, j)
+    image = _mul(_mul(flip, pair), flip)
+    for s in (1, -1):
+        if all(np.array_equal(m, s * p) for m, p in zip(image, pair)):
+            return s
+    raise AssertionError(f"σ_{k}⊗σ_{k} maps σ_{i}⊗σ_{j} off its own line")
+
+
+def test_conjugation_sign_table():
+    assert np.array_equal(_RE + 1j * _IM, PAULI)  # the integer parts lost nothing
+    # every σ_i⊗σ_j goes to ±itself, else _sign raises
+    signs = {kij: _sign(*kij) for kij in itertools.product(range(4), repeat=3)}
+    negated = {k: {f"c{i}{j}" for i, j in _HIDDEN if signs[k, i, j] < 0} for k in range(4)}
+    assert negated == {
+        0: set(),
+        1: {"c02", "c20", "c12", "c21"},  # σ_x⊗σ_x
+        2: {"c12", "c21", "c23", "c32"},  # σ_y⊗σ_y
+        3: {"c02", "c20", "c23", "c32"},  # σ_z⊗σ_z
+    }
+    # the measured table's nonzero entries are c00 = 1 and c11 = c33 =
+    # -(1-ε), its others zeros: every conjugation fixes it, and c22
+    assert all(signs[k, i, i] == 1 for k, i in itertools.product(range(4), repeat=2))
+
+
+@st.composite
+def physical_draws(draw):
+    """(ε, hidden coefficients) of a ``general_state`` with no negative
+    eigenvalue: a point of [-1, 1]^7 pulled toward the symmetric state of
+    c22 = ε - 1, the pull halved until the state qualifies."""
+    epsilon = draw(st.floats(0.0, 1.0))
+    target = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)))
+    centre = np.zeros(7)
+    centre[_FREE_NAMES.index("c22")] = epsilon - 1
+    pull = draw(st.floats(0.0, 1.0))
+    for _ in range(64):
+        hidden = centre + pull * (target - centre)
+        try:
+            if np.linalg.eigvalsh(general_state(epsilon, *hidden)).min() >= 0:
+                return epsilon, hidden
+        except NotPositive:
+            pass
+        pull /= 2
+    assume(False)  # the centre itself has a roundoff-negative eigenvalue
+
+
+@PROPERTY
+@given(physical_draws())
+def test_twirl_is_the_symmetric_state_with_the_same_c22(draw):
+    epsilon, hidden = draw
+    rho = general_state(epsilon, *hidden)
+    twirled = sum(f @ rho @ f for f in _FLIPS) / 4
+    c22 = hidden[_FREE_NAMES.index("c22")]
+    assert np.max(np.abs(twirled - general_state(epsilon, c22=c22))) <= 1e-15
+
+
+@PROPERTY
+@given(physical_draws())
+def test_holevo_quantity_is_invariant_under_each_conjugation(draw):
+    epsilon, hidden = draw
+    rho = general_state(epsilon, *hidden)
+    chi = hsw_bound(conditioned_ancilla_from_state(rho))
+    for f in _FLIPS:
+        assert abs(hsw_bound(conditioned_ancilla_from_state(f @ rho @ f)) - chi) <= 1e-12
