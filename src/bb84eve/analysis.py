@@ -140,9 +140,10 @@ def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:
     it, bit for bit.  All accepted draws' restarts run as one optimizer
     batch, each restart against its own draw's ensemble; a batch holds at
     most ``config.MAX_RESTARTS`` restarts, further draws starting the next.
-    The best value found is reported against the symmetric optimum.
-    ``trials`` must be an integer in [1, ``config.MAX_TRIALS``] and ``seed``
-    one >= 0, or ``OutOfRange`` is raised.
+    The best value found is reported against the symmetric optimum: the
+    search cross-checks a proved reduction (README, "Why the symmetric
+    family suffices").  ``trials`` must be an integer in [1,
+    ``config.MAX_TRIALS``] and ``seed`` one >= 0, or ``OutOfRange`` is raised.
     """
     require_in("epsilon", epsilon, 0, 1)
     require_int("trials", trials, 1, config.MAX_TRIALS)

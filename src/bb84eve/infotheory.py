@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized
 from .linalg import sqrt_psd, von_neumann_entropy
-from .states import _PAULI_PAIRS, NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint
+from .states import _SIGMA_YY, NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint
 from .states import two_qubit_operator
 
 
@@ -33,7 +33,7 @@ def mutual_information(table: np.ndarray) -> float:
     total = p.sum()
     if not abs(total - 1.0) <= NORMALIZATION_SLACK:  # NaN fails too
         raise NotNormalized(f"entries sum to {float(total)}, not 1")
-    marg = np.outer(p.sum(axis=1), p.sum(axis=0))
+    marg = p.sum(axis=1)[:, None] * p.sum(axis=0)
     mask = p > 0
     return float((p[mask] * np.log2(p[mask] / marg[mask])).sum())
 
@@ -44,8 +44,9 @@ def hsw_bound(ensemble: AncillaEnsemble) -> float:
     S(average state) minus the average member entropy, every state of
     weight 1/n; the n + 1 entropies come from one stacked eigensolve.
     """
-    s = von_neumann_entropy(np.concatenate(([ensemble.states.mean(axis=0)], ensemble.states)))
-    return float(s[0] - s[1:].mean())
+    states = ensemble.states
+    s = von_neumann_entropy(np.concatenate(([states.sum(axis=0) / len(states)], states)))
+    return float(s[0] - s[1:].sum() / len(states))
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,6 @@ def concurrence(rho: np.ndarray) -> float:
     Raises ``NotPositive`` as ``sqrt_psd`` does.
     """
     root = sqrt_psd(two_qubit_operator(rho))
-    s = np.linalg.svd(root.T @ _PAULI_PAIRS[2, 2] @ root, compute_uv=False)
+    s = np.linalg.svd(root.T @ _SIGMA_YY @ root, compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 

@@ -36,10 +36,10 @@ class Spectrum(NamedTuple):
 
 def require_finite(m, dtype=None) -> np.ndarray:
     """``m`` as an array of ``dtype``; raises ``ValueError`` on a NaN or
-    infinite entry."""
+    infinite entry, and on an array of text, bytes or objects."""
     m = np.asarray(m, dtype=dtype)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    if m.dtype.kind not in "biufc" or not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite numbers")
     return m
 
 

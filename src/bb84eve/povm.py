@@ -1,5 +1,6 @@
-"""Measurements: the analytic optimum, its degenerate variants, evaluation,
-and an independent numerical optimizer.
+"""Measurements: the analytic optimum, its degenerate variants, evaluation
+(every tr(S_a·E_k) from one matrix product), and an independent numerical
+optimizer.
 
 The analytic measurement is written in the orthonormal ancilla basis, where
 ancilla ket j is √w_j times basis vector j.  In the interior of the feasible
@@ -17,6 +18,7 @@ each random restart stops at a stationary point or at the iteration cap.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,26 +109,25 @@ def analytic_povm(point: FamilyPoint) -> Povm:
     (ε, c22) = (1, 1), every ket vanishes, and the measurement is the
     projectors onto the surviving axes 1 and 3.
     """
-    w = bell_weights(point)
-    alive = w > ZERO_WEIGHT
+    w = bell_weights(point).tolist()
+    alive = [x > ZERO_WEIGHT for x in w]
     one_minus = 1.0 - point.c22
-    h1 = 0.5 if alive[0] else 0.0
-    h3 = 0.5 if alive[2] else 0.0
-    sa = np.sqrt(w[0] / one_minus) if alive[0] and alive[1] else 0.0
-    sb = np.sqrt(w[2] / one_minus) if alive[2] and alive[3] else 0.0
+    h3 = 0.5 if alive[2] else 0.0  # w0 vanishes only at the corner, replaced below
+    sa = math.sqrt(w[0] / one_minus) if alive[0] and alive[1] else 0.0
+    sb = math.sqrt(w[2] / one_minus) if alive[2] and alive[3] else 0.0
     kets = np.array(
         [
-            [h1, sa, -1j * h3, -1j * sb],
-            [h1, -sa, -1j * h3, 1j * sb],
-            [h1, 1j * sb, 1j * h3, -sa],
-            [h1, -1j * sb, 1j * h3, sa],
+            [0.5, sa, -1j * h3, -1j * sb],
+            [0.5, -sa, -1j * h3, 1j * sb],
+            [0.5, 1j * sb, 1j * h3, -sa],
+            [0.5, -1j * sb, 1j * h3, sa],
         ],
         dtype=complex,
     )
     if not alive[0]:
         kets = np.eye(4, dtype=complex)[alive]
     out = Povm(dyads(kets))
-    validate_povm(out, support=np.diag(alive.astype(complex)))
+    validate_povm(out, support=np.diag(np.array(alive, dtype=complex)))
     return out
 
 
@@ -135,8 +136,9 @@ def accessible_info(ensemble: AncillaEnsemble, m: Povm) -> float:
     n, d, _ = ensemble.states.shape
     if m.dim != d:
         raise DimensionMismatch(f"POVM dimension {m.dim} != state dimension {d}")
-    cond = np.einsum("aij,kji->ak", ensemble.states, m.elements).real
-    return mutual_information(np.clip(cond, 0.0, None) / n)
+    # tr(S_a·E_k) = Σ_ij S_a[i, j]·E_k[j, i]: S_a row by row against E_k column by column
+    cond = ensemble.states.reshape(n, d * d) @ m.elements.transpose(2, 1, 0).reshape(d * d, -1)
+    return mutual_information(np.maximum(cond.real, 0.0) / n)
 
 
 def conjugate_povm(m: Povm) -> Povm:

@@ -5,7 +5,9 @@ family and its seven-parameter generalization, four-qubit purifications,
 Eve's conditioned ancilla ensembles, and the Alice-Bob joint probability
 table with its Monte Carlo sampler.  One map conditions a purification on
 Alice's outcomes; all purifications of a state differ by a unitary on Eve's
-side (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).
+side (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).  The
+outcome table, the Pauli coefficients and the Bell-diagonal state are each
+one product with a constant table of operators read row by row.
 """
 
 from __future__ import annotations
@@ -28,22 +30,17 @@ ZERO_WEIGHT = 1e-12
 NORMALIZATION_SLACK = 1e-9
 
 _BELL = bell_basis()
-_BELL_PROJECTORS = dyads(_BELL)
+_BELL_ROWS = dyads(_BELL).reshape(4, 16)  # |β_j⟩⟨β_j| read row by row
 
-# Single-qubit kets, one row per entry of OUTCOMES.
+# Single-qubit kets, one row per entry of OUTCOMES, and their bras.
 _KETS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=complex)
 _KETS[2:] /= np.sqrt(2)
+_BRAS = _KETS.conj()
 
-
-def _kron_pairs(ops: np.ndarray) -> np.ndarray:
-    """out[j, k] = ops[j] ⊗ ops[k] for a stack of single-qubit operators."""
-    n = len(ops)
-    return np.einsum("jac,kbd->jkabcd", ops, ops).reshape(n, n, 4, 4)
-
-
-# σ_j ⊗ σ_k, and the outcome-pair projectors P_a ⊗ P_b indexed [b, a].
-_PAULI_PAIRS = _kron_pairs(PAULI)
-_OUTCOME_PAIRS = _kron_pairs(dyads(_KETS)).swapaxes(0, 1)
+# Row 4j + k is (σ_j ⊗ σ_k)ᵀ, row 4b + a ¼·(P_a ⊗ P_b)ᵀ: rows @ ρ.reshape(16) are the tr(ρ·A).
+_PAULI_ROWS = np.einsum("jac,kbd->jkcdab", PAULI, PAULI).reshape(16, 16)
+_OUTCOME_ROWS = 0.25 * np.einsum("jac,kbd->kjcdab", dyads(_KETS), dyads(_KETS)).reshape(16, 16)
+_SIGMA_YY = _PAULI_ROWS[10].reshape(4, 4)  # σ_y ⊗ σ_y, its own transpose
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ def two_qubit_operator(m) -> np.ndarray:
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """Real coefficients c[j, k] = tr(ρ σ_j ⊗ σ_k) of a Hermitian ρ, else ``NotHermitian``."""
     rho = _hermitian_part(two_qubit_operator(rho))
-    return np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3).real
+    return (_PAULI_ROWS @ rho.reshape(16)).real.reshape(4, 4)
 
 
 def state_from_pauli(c: np.ndarray) -> np.ndarray:
@@ -112,7 +109,7 @@ def state_from_pauli(c: np.ndarray) -> np.ndarray:
     c = require_finite(c, float)
     if c.shape != (4, 4):
         raise DimensionMismatch("coefficient array must be 4x4")
-    return np.einsum("jk,jkmn->mn", c, _PAULI_PAIRS) / 4
+    return np.einsum("j,jnm->mn", c.reshape(16), _PAULI_ROWS.reshape(16, 4, 4)) / 4
 
 
 def bell_weights(point: FamilyPoint) -> np.ndarray:
@@ -129,13 +126,12 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
 def unbiased_noise_state(epsilon: float) -> np.ndarray:
     """(1-ε)·singlet + ε/4·identity, the state Alice and Bob test for."""
     require_in("epsilon", epsilon, 0, 1)
-    return (1 - epsilon) * _BELL_PROJECTORS[0] + epsilon / 4 * np.eye(4)
+    return (1 - epsilon) * _BELL_ROWS[0].reshape(4, 4) + epsilon / 4 * np.eye(4)
 
 
 def bell_diagonal_state(point: FamilyPoint) -> np.ndarray:
     """Weighted sum of Bell projectors with the weights of ``bell_weights``."""
-    w = bell_weights(point)
-    return (w[:, None, None] * _BELL_PROJECTORS).sum(axis=0)
+    return (bell_weights(point) @ _BELL_ROWS).reshape(4, 4)
 
 
 # Alice and Bob measure only x and z, which fixes the coefficients c[j, k]
@@ -184,9 +180,13 @@ def purification(point: FamilyPoint) -> tuple[np.ndarray, np.ndarray]:
     squared norms equal to the Bell weights.  Zero-weight rows are exact
     zero vectors.
     """
-    w = bell_weights(point)
-    amps = np.sqrt(w)
-    return (_BELL.T * amps).reshape(16), np.diag(amps).astype(complex)
+    amps = np.sqrt(bell_weights(point))
+    return _purified(amps), np.diag(amps).astype(complex)
+
+
+def _purified(amps: np.ndarray) -> np.ndarray:
+    """Σ_j amps[j]·|β_j⟩ ⊗ e_j, index order AB ⊗ E, e_j the ancilla axes."""
+    return (_BELL.T * amps).reshape(16)
 
 
 def _conditioned(psi: np.ndarray) -> AncillaEnsemble:
@@ -197,7 +197,7 @@ def _conditioned(psi: np.ndarray) -> AncillaEnsemble:
     and x marginals give probability 1/2 to every outcome; ``OutOfRange``
     is raised otherwise.
     """
-    v = (_KETS.conj() @ psi.reshape(2, 8)).reshape(4, 2, 4)  # (outcome, B, E)
+    v = (_BRAS @ psi.reshape(2, 8)).reshape(4, 2, 4)  # (outcome, B, E)
     cond = v.swapaxes(1, 2) @ v.conj()  # sum over Bob of |v_b><v_b| on E
     p = np.einsum("lii->l", cond).real  # Alice's outcome probabilities
     for label, pl in zip(OUTCOMES, p.tolist()):
@@ -208,8 +208,8 @@ def _conditioned(psi: np.ndarray) -> AncillaEnsemble:
 
 def conditioned_ancilla(point: FamilyPoint) -> AncillaEnsemble:
     """Eve's four ancilla states conditioned on Alice's measurement result,
-    from ``purification``: unit trace, rank at most two, prior 1/4 each."""
-    return _conditioned(purification(point)[0])
+    from ``purification``'s ket: unit trace, rank at most two, prior 1/4 each."""
+    return _conditioned(_purified(np.sqrt(bell_weights(point))))
 
 
 def conditioned_ancilla_from_state(rho: np.ndarray) -> AncillaEnsemble:
@@ -234,7 +234,7 @@ def joint_table(rho: np.ndarray) -> np.ndarray:
     and sum to 1, each within ``NORMALIZATION_SLACK``.
     """
     rho = _hermitian_part(two_qubit_operator(rho))
-    table = 0.25 * np.trace(rho @ _OUTCOME_PAIRS, axis1=2, axis2=3).real
+    table = (_OUTCOME_ROWS @ rho.reshape(16)).real.reshape(4, 4)
     low, total = table.min(), table.sum()
     if not (low >= -NORMALIZATION_SLACK and abs(total - 1) <= NORMALIZATION_SLACK):
         raise NotNormalized(f"table has smallest entry {low:.3e} and sums to {float(total)}")

@@ -159,6 +159,8 @@ def test_bell_basis_explicit_kets():
 MATRIX_CONSUMERS = {
     "von_neumann_entropy": von_neumann_entropy,
     "eig_hermitian": eig_hermitian,
+    "sqrt_psd": sqrt_psd,
+    "partial_trace": lambda m: partial_trace(m, (2, 2), 0),
     "pauli_coefficients": pauli_coefficients,
     "joint_table": joint_table,
     "concurrence": concurrence,
@@ -188,15 +190,22 @@ def _bad_matrices():
     non_square[0, 0] = np.nan
     yield "non-square, a NaN", non_square, ValueError, {}  # the entry wins
     yield "1-D", np.full(4, 0.25), DimensionMismatch, {}
-    # eig_hermitian tests the rank before the entries
+    # eig_hermitian (and sqrt_psd through it) tests the rank before the entries
     yield "1-D, a NaN", np.array([np.nan, 0.25, 0.25, 0.25]), ValueError, {
-        "eig_hermitian": DimensionMismatch
+        "eig_hermitian": DimensionMismatch, "sqrt_psd": DimensionMismatch
     }
     yield "empty", np.zeros((0, 0)), DimensionMismatch, {}
     yield "empty stack", np.zeros((0, 4, 4)), DimensionMismatch, {}
-    yield "non-Hermitian off-diagonal", _mixed_with((0, 1, 0.1)), NotHermitian, {}
-    yield "non-Hermitian diagonal", _mixed_with((0, 0, 0.1j)), NotHermitian, {}
+    # partial_trace takes any square operator and raises nothing
+    yield "non-Hermitian off-diagonal", _mixed_with((0, 1, 0.1)), NotHermitian, {
+        "partial_trace": None
+    }
+    yield "non-Hermitian diagonal", _mixed_with((0, 0, 0.1j)), NotHermitian, {
+        "partial_trace": None
+    }
     yield "non-Hermitian, a NaN", _mixed_with((0, 1, 0.1), (2, 2, np.nan)), ValueError, {}
+    for entry in ("x", None, b"x"):  # no entry is a number
+        yield f"{type(entry).__name__} entries", np.full((4, 4), entry), ValueError, {}
 
 
 @pytest.mark.parametrize("consumer", MATRIX_CONSUMERS)

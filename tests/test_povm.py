@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from bb84eve import (
     AncillaEnsemble,
@@ -17,6 +18,7 @@ from bb84eve import (
     general_state,
     hsw_bound,
     mi_eve_analytic,
+    mutual_information,
     optimize_povm,
     validate_povm,
 )
@@ -43,7 +45,7 @@ from bb84eve.povm import (
     _tangent,
 )
 from bb84eve.states import ZERO_WEIGHT, bell_weights
-from conftest import random_feasible_point
+from conftest import family_edge, physical_general_draws, povms, random_feasible_point
 
 # frozen: 0.5 * correlation_info(sqrt(0.96))
 HALF_PHI_SQRT096 = 0.45926554249282286
@@ -188,6 +190,19 @@ def test_accessible_info_dimension_check():
             Povm(not_a_stack)
         with pytest.raises(DimensionMismatch):
             AncillaEnsemble(not_a_stack)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(physical_general_draws(), povms())
+@example(family_edge(0.3, -1.0), Povm(dyads(np.eye(4, dtype=complex))))
+@example(family_edge(0.3, 2 * 0.3 - 1), Povm(dyads(np.eye(4, dtype=complex))))
+def test_accessible_info_matches_the_pair_by_pair_traces(draw, m):
+    """The one product against tr(S_a·E_k) taken pair by pair; about 16
+    terms of size at most 1 per trace and a log per table entry: 1e-13."""
+    ensemble = conditioned_ancilla_from_state(general_state(draw[0], *draw[1]))
+    cond = [[np.trace(s @ e).real for e in m.elements] for s in ensemble.states]
+    want = mutual_information(np.maximum(cond, 0.0) / len(ensemble.states))
+    assert abs(accessible_info(ensemble, m) - want) <= 1e-13
 
 
 def test_conjugate_povm_involution_and_reality():

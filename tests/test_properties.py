@@ -56,6 +56,7 @@ from bb84eve.linalg import PAULI
 from bb84eve.povm import COMPLETENESS_TOL
 from bb84eve.states import _FREE_NAMES, _HIDDEN, ZERO_WEIGHT, bell_weights
 from bb84eve.states import two_qubit_operator
+from conftest import physical_general_draws
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -202,25 +203,6 @@ def test_canonical_and_symmetric_routes_related_by_bell_unitary(point):
     w = w[w > 0]
     slack = np.max(np.where(w > 1e-13, 1e-15 / np.sqrt(w), np.sqrt(w)))
     assert np.max(np.abs(got - want)) <= 1e-12 + 2 * slack
-
-
-@st.composite
-def physical_general_draws(draw):
-    """(ε, hidden coefficients) of a physical general_state: a point of
-    [-1, 1]^7 pulled toward the symmetric centre, halving the pull until the
-    state is physical (the centre is)."""
-    epsilon = draw(unit)
-    target = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)))
-    centre = np.zeros(7)
-    centre[_FREE_NAMES.index("c22")] = optimal_c22(epsilon)
-    pull = draw(unit)
-    while True:
-        hidden = centre + pull * (target - centre)
-        try:
-            general_state(epsilon, *hidden)
-            return epsilon, hidden
-        except NotPositive:
-            pull /= 2
 
 
 def physical_general_states():

@@ -20,7 +20,9 @@ from bb84eve import (
     unbiased_noise_state,
 )
 from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
-from conftest import random_density, random_feasible_point
+from bb84eve.linalg import PAULI
+from bb84eve.states import _HIDDEN
+from conftest import family_edge, physical_general_draws, random_density, random_feasible_point
 
 
 def table1(epsilon):
@@ -81,11 +83,15 @@ def test_bell_diagonal_weights_direct_evaluation():
 @example(1.0, 1.0)
 def test_bell_diagonal_state_is_diagonal_in_the_bell_basis(epsilon, t):
     """In the Bell basis the state is diag(bell_weights): max_entropy_c22
-    reads the c22 segment's spectra from the weights alone."""
+    reads the c22 segment's spectra from the weights alone.  Written out,
+    it is the weighted sum of the Bell projectors, to 4e-15 as in
+    ``TABLE_TOL`` below."""
     point = FamilyPoint(epsilon, -1 + 2 * epsilon * t)
     u = bell_basis()
     rotated = u.conj() @ bell_diagonal_state(point) @ u.T
     assert np.max(np.abs(rotated - np.diag(bell_weights(point)))) <= 1e-14
+    want = sum(w * np.outer(ket, ket.conj()) for w, ket in zip(bell_weights(point), u))
+    assert np.max(np.abs(bell_diagonal_state(point) - want)) <= 4e-15
 
 
 def test_bell_diagonal_reduces_to_unbiased_noise():
@@ -302,3 +308,45 @@ def test_simulate_raw_data_within_four_sigma():
     expect = table1(0.2)
     sigma = np.sqrt(expect * (1 - expect) / n)
     assert np.all(np.abs(emp - expect) <= 4 * sigma)
+
+
+# The flat tables against the contractions they replaced, written out pair
+# by pair.  An entry sums at most 16 terms of size at most 1, so 4e-15
+# bounds the difference in the order of summation.
+TABLE_TOL = 4e-15
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+_PAULI_PAIRS = [[np.kron(sj, sk) for sk in PAULI] for sj in PAULI]
+_OUTCOME_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]]) / np.sqrt([1, 1, 2, 2])[:, None]
+_OUTCOME_PROJECTORS = [np.outer(k, k) for k in _OUTCOME_KETS]
+
+
+@PROPERTY
+@given(physical_general_draws())
+@example(family_edge(0.3, -1.0))
+@example(family_edge(0.3, 2 * 0.3 - 1))
+def test_flat_tables_match_the_pair_by_pair_contractions(draw):
+    epsilon, hidden = draw
+    rho = general_state(epsilon, *hidden)
+    c = np.diag([1.0, -(1 - epsilon), 0.0, -(1 - epsilon)])  # general_state's table
+    c[tuple(zip(*_HIDDEN))] = hidden
+    want = sum(c[j, k] * _PAULI_PAIRS[j][k] for j in range(4) for k in range(4)) / 4
+    assert np.max(np.abs(state_from_pauli(c) - want)) <= TABLE_TOL
+    want = [[np.trace(rho @ pair).real for pair in row] for row in _PAULI_PAIRS]
+    assert np.max(np.abs(pauli_coefficients(rho) - want)) <= TABLE_TOL
+    assert np.max(np.abs(joint_table(rho) - pair_by_pair_table(rho))) <= TABLE_TOL
+
+
+def pair_by_pair_table(rho):
+    """¼·tr(ρ·P_a ⊗ P_b) at [b, a], pair by pair."""
+    return [
+        [np.trace(rho @ np.kron(pa, pb)).real / 4 for pa in _OUTCOME_PROJECTORS]
+        for pb in _OUTCOME_PROJECTORS
+    ]
+
+
+def test_joint_table_rows_are_bob_and_columns_alice():
+    # general_state's tables are symmetric in Alice and Bob; this one is not
+    rho = np.kron(_OUTCOME_PROJECTORS[0], _OUTCOME_PROJECTORS[2])  # Alice z+, Bob x+
+    table = joint_table(rho)
+    assert np.max(np.abs(table - pair_by_pair_table(rho))) <= TABLE_TOL
+    assert table[2, 0] == pytest.approx(0.25) and table[0, 2] == pytest.approx(0.0625)

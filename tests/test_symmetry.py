@@ -4,7 +4,8 @@ The twirl is T(ρ) = ¼·Σ_k (σ_k⊗σ_k) ρ (σ_k⊗σ_k), k = 0..3 (Kraus, G
 and Renner, PRL 95, 080501, 2005).  Each conjugation fixes the measured
 table and c22 and flips the sign of some hidden coefficients, so T maps
 every state that fits the data to the symmetric state with its c22; and
-each leaves Eve's Holevo quantity as it was.
+each leaves Eve's Holevo quantity and her accessible information as they
+were.
 
 The states are drawn from ``general_state`` with no negative eigenvalue:
 ``general_state`` accepts eigenvalues down to -1e-10, which the canonical
@@ -17,10 +18,12 @@ import itertools
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from bb84eve import conditioned_ancilla_from_state, general_state, hsw_bound
+from bb84eve import accessible_info, conditioned_ancilla_from_state, general_state, hsw_bound
 from bb84eve.errors import NotPositive
 from bb84eve.linalg import PAULI
+from bb84eve.povm import Povm
 from bb84eve.states import _FREE_NAMES, _HIDDEN
+from conftest import povms
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -112,3 +115,18 @@ def test_holevo_quantity_is_invariant_under_each_conjugation(draw):
     chi = hsw_bound(conditioned_ancilla_from_state(rho))
     for f in _FLIPS:
         assert abs(hsw_bound(conditioned_ancilla_from_state(f @ rho @ f)) - chi) <= 1e-12
+
+
+@PROPERTY
+@given(physical_draws(), povms())
+def test_accessible_information_is_invariant_under_each_conjugation(draw, m):
+    # F = σ_k⊗σ_k equals its transpose, so the canonical purification of
+    # FρF is (F ⊗ F) applied to ρ's: F permutes Alice's outcomes up to a
+    # phase and acts as F on Eve's side, and {F·E_j·F} then reads every
+    # trace tr(S_a·E_j) of ρ's ensemble again, in another row order
+    epsilon, hidden = draw
+    rho = general_state(epsilon, *hidden)
+    info = accessible_info(conditioned_ancilla_from_state(rho), m)
+    for f in _FLIPS:
+        image = conditioned_ancilla_from_state(f @ rho @ f)
+        assert abs(accessible_info(image, Povm(f @ m.elements @ f)) - info) <= 1e-13
