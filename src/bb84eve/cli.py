@@ -88,7 +88,7 @@ def cmd_thresholds(args) -> int:
     names = list(CURVES) if args.all else [args.curve]
     rows = []
     for curve in names:
-        res = find_threshold(curve, tolerance=args.tol)
+        res = find_threshold(curve)
         rows.append(
             {
                 "curve": res.curve,
@@ -98,10 +98,7 @@ def cmd_thresholds(args) -> int:
                 "iterations": res.iterations,
             }
         )
-    _emit_json(
-        args.out, "thresholds", {"curves": names, "tol": args.tol}, rows,
-        {"tolerance": args.tol},
-    )
+    _emit_json(args.out, "thresholds", {"curves": names}, rows, {})
     return 0
 
 
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="all four curves")
     group.add_argument("--curve", choices=sorted(CURVES))
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
     p = command("scan", cmd_scan, "CSV of all information curves on a grid")
     p.add_argument("--start", type=float, required=True)

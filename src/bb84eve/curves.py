@@ -132,8 +132,8 @@ def key_rate(epsilon: float, curve: str) -> float:
 class ThresholdResult(namedtuple(
     "ThresholdResult", "curve epsilon_star residual iterations converged bracket_width"
 )):
-    """A bisection root; ``converged`` says whether ``residual`` met the
-    tolerance, ``bracket_width`` is the final bracket's width."""
+    """A bisection root; ``converged`` says whether the bracket collapsed,
+    ``residual`` is |key rate| at the root, ``bracket_width`` is 0 or one ulp."""
 
     __slots__ = ()
 
@@ -143,19 +143,17 @@ class ThresholdResult(namedtuple(
 
 
 def bisect_sign_change(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tolerance: float,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, int, bool, float]:
-    """Bisection on a sign change of ``f`` over [lo, hi].
+    """Bisection on a sign change of ``f`` over [lo, hi], run until the
+    bracket cannot shrink.
 
-    Returns (root, |f(root)|, iterations, converged, bracket width):
-    ``converged`` says whether |f(root)| <= ``tolerance``, and the width is
-    that of the last bracket around the root (0 for an exact root at an
-    end).  The bracket is validated before iterating: ``OutOfRange`` is
-    raised unless both ends are finite and lo <= hi, ``NoSignChange`` if
-    both ends share a sign.
+    Returns (root, |f(root)|, iterations, converged, bracket width): the root
+    is the end of the last bracket with the smaller |f|, and ``converged``
+    says whether, within ``MAX_BISECTIONS``, the ends became adjacent floats
+    or f hit an exact zero (width 0).  The bracket is validated before
+    iterating: ``OutOfRange`` is raised unless both ends are finite and
+    lo <= hi, ``NoSignChange`` if both ends share a sign.
     Bisection is used deliberately: the information curves have divergent
     slope near the branch points and robustness beats speed here.
     """
@@ -170,24 +168,26 @@ def bisect_sign_change(
         raise NoSignChange(
             f"f({lo})={flo:.3e} and f({hi})={fhi:.3e} have the same sign"
         )
-    mid, fmid, it = lo, flo, 0
     for it in range(1, MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tolerance:
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        if mid == lo or mid == hi:  # the ends are adjacent floats
             break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, 0.0, it, True, 0.0
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
-            hi = mid
-    return mid, abs(fmid), it, abs(fmid) <= tolerance, hi - lo
+            hi, fhi = mid, fmid
+    root, froot = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    return root, abs(froot), it, 0.5 * lo + 0.5 * hi in (lo, hi), hi - lo
 
 
-def find_threshold(curve: str, tolerance: float = 1e-9) -> ThresholdResult:
-    """Noise value where Alice-Bob information crosses Eve's curve."""
-    require_in("tolerance", tolerance, 1e-12, 1e-3)
+def find_threshold(curve: str) -> ThresholdResult:
+    """Noise value where Alice-Bob information crosses Eve's curve, bisected
+    on [0, 1/2] to the last float."""
     root, residual, iterations, converged, width = bisect_sign_change(
-        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5, tolerance
+        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5
     )
     return ThresholdResult(curve, root, residual, iterations, converged, width)
 

@@ -7,6 +7,7 @@ by this package are in bits (logarithms base 2).
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from numbers import Integral
 from typing import NamedTuple
 
@@ -121,7 +122,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     Raises ``ValueError`` on a non-finite entry.
     """
     m = require_finite(m)
-    if len(dims) != 2 or not all(
+    if not isinstance(dims, Sized) or len(dims) != 2 or not all(
         isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in dims
     ):
         raise DimensionMismatch(f"dims {dims!r} are not two integers >= 1")

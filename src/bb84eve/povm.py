@@ -27,7 +27,7 @@ from . import config
 from .config import require_in, require_int
 from .errors import DimensionMismatch
 from .infotheory import mutual_information
-from .linalg import _hermitian_part, dyads, require_psd, square_stack
+from .linalg import _hermitian_part, dyads, require_finite, require_psd, square_stack
 from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
 
 COMPLETENESS_TOL = 1e-9
@@ -88,10 +88,11 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     ``support`` defaults to the full identity; pass the (dim, dim) projector
     onto a subspace for measurements defined only there.  A non-Hermitian
     element raises ``NotHermitian``, a negative one ``NotPositive``, a support
-    of another shape ``DimensionMismatch``, and an incomplete set ``ValueError``.
+    of text or non-finite entries ``ValueError``, one of another shape
+    ``DimensionMismatch``, and an incomplete set ``ValueError``.
     """
     require_psd(np.linalg.eigvalsh(_hermitian_part(povm.elements)))
-    target = np.eye(povm.dim) if support is None else np.asarray(support)
+    target = np.eye(povm.dim) if support is None else require_finite(support, complex)
     if target.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"support shape {target.shape} is not {povm.dim}x{povm.dim}")
     defect = float(np.max(np.abs(povm.total() - target)))

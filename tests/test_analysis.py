@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,13 +21,6 @@ from bb84eve import (
 from bb84eve import analysis, config, linalg, povm, states
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, OutOfRange
-
-EXPECTED_THRESHOLDS = {
-    "honest": 0.2928932188134524,      # 1 - sqrt(1/2)
-    "maxent": 0.21384862224257672,     # 1 - sqrt((sqrt(5)-1)/2)
-    "minconc": 0.2,
-    "hsw": 0.12298094015744837,        # where the Alice-Bob curve hits 1/3
-}
 
 
 def test_eve_curve_values():
@@ -57,15 +51,50 @@ def test_curve_ordering_on_plot_range():
         assert b <= c + 1e-12
 
 
+def _decimal_bisect(f, lo, hi):
+    """The root of ``f`` in [lo, hi], bisected in decimal arithmetic to a
+    bracket of 1e-30, far below the ulp of any root here."""
+    negative_lo = f(lo) < 0
+    while hi - lo > Decimal("1e-30"):
+        mid = (lo + hi) / 2
+        if (f(mid) < 0) == negative_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _decimal_roots():
+    """Each curve's threshold at 50 digits: three algebraic roots, and hsw's,
+    where the Alice-Bob curve (1/2)·ci(1 - ε) hits 1/3, with
+    ci(x) = (1/2)[(1-x)log2(1-x) + (1+x)log2(1+x)]."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one, two = Decimal(1), Decimal(2)
+
+        def ci(x):
+            lo, hi = one - x, one + x
+            return (lo * lo.ln() + hi * hi.ln()) / (2 * two.ln())
+
+        return {
+            "honest": one - one / two.sqrt(),
+            "maxent": one - ((Decimal(5).sqrt() - one) / two).sqrt(),
+            "minconc": one / 5,
+            "hsw": _decimal_bisect(
+                lambda e: ci(one - e) - two / 3, Decimal("0.1"), Decimal("0.2")
+            ),
+        }
+
+
 def test_find_threshold_values():
-    for curve, expected in EXPECTED_THRESHOLDS.items():
-        res = find_threshold(curve, tolerance=1e-10)
-        assert abs(res.epsilon_star - expected) <= 1e-6, curve
-        assert res.residual <= 1e-10
-        assert res.iterations <= 64
-        assert res.converged, curve
-        assert 0 < res.bracket_width <= 0.5 ** res.iterations
-        assert abs(res.qber - res.epsilon_star / 2) <= 1e-15
+    for curve, exact in _decimal_roots().items():
+        res = find_threshold(curve)
+        error = abs(Decimal(res.epsilon_star) - exact)
+        assert error <= 2 * Decimal(math.ulp(float(exact))), curve
+        assert res.converged and res.iterations <= 64, curve
+        assert res.bracket_width in (0.0, math.ulp(res.epsilon_star)), curve
+        assert res.residual <= 1e-15, curve
+        assert res.qber == res.epsilon_star / 2
 
 
 @pytest.mark.parametrize("curve, exact", [
@@ -74,37 +103,33 @@ def test_find_threshold_values():
     ("maxent", 1 - math.sqrt((math.sqrt(5) - 1) / 2)),
 ])
 def test_threshold_brackets_the_algebraic_root(curve, exact):
-    res = find_threshold(curve)
-    assert abs(res.epsilon_star - exact) <= res.bracket_width
+    # each reference is itself rounded: honest's is one ulp above the double
+    # nearest the true root
+    assert abs(find_threshold(curve).epsilon_star - exact) <= 2 * math.ulp(exact)
 
 
 def test_threshold_ordering():
-    stars = {c: find_threshold(c).epsilon_star for c in EXPECTED_THRESHOLDS}
+    stars = {c: find_threshold(c).epsilon_star for c in CURVES}
     assert stars["hsw"] < stars["minconc"] < stars["maxent"] < stars["honest"]
 
 
 def test_find_threshold_deterministic_and_validated():
-    a = find_threshold("honest", 1e-9)
-    b = find_threshold("honest", 1e-9)
-    assert a == b
-    for tolerance in (1e-13, 2e-3, 0.5, np.inf, np.nan):
-        with pytest.raises(OutOfRange):
-            find_threshold("honest", tolerance)
-    for tolerance in (1e-12, 1e-3):
-        assert find_threshold("minconc", tolerance).residual <= tolerance
+    assert find_threshold("honest") == find_threshold("honest")
+    with pytest.raises(ValueError, match="unknown curve"):
+        find_threshold("nope")
 
 
 def test_bisect_requires_sign_change():
     with pytest.raises(NoSignChange):
-        bisect_sign_change(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-9)
+        bisect_sign_change(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
 def test_bisect_exact_root_at_either_end():
     def f(x):
         return x - 0.2
 
-    assert bisect_sign_change(f, 0.2, 0.5, 1e-9) == (0.2, 0.0, 0, True, 0.0)
-    assert bisect_sign_change(f, 0.0, 0.2, 1e-9) == (0.2, 0.0, 0, True, 0.0)
+    assert bisect_sign_change(f, 0.2, 0.5) == (0.2, 0.0, 0, True, 0.0)
+    assert bisect_sign_change(f, 0.0, 0.2) == (0.2, 0.0, 0, True, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -114,21 +139,39 @@ def test_bisect_exact_root_at_either_end():
 )
 def test_bisect_rejects_bad_bracket(lo, hi):
     with pytest.raises(OutOfRange):
-        bisect_sign_change(lambda x: x - 0.2, lo, hi, 1e-9)
+        bisect_sign_change(lambda x: x - 0.2, lo, hi)
 
 
-def test_bisect_reports_unmet_tolerance():
+def test_bisect_collapses_onto_a_jump():
     def step(x):
         return -1.0 if x < 0.3 else 1.0
 
+    root, residual, iterations, converged, width = bisect_sign_change(step, 0.0, 1.0)
+    assert converged
+    assert residual == 1.0
+    assert iterations <= 64
+    assert width == math.ulp(0.29999999999999993)
+    assert root in (math.nextafter(0.3, 0.0), 0.3)
+
+
+def test_bisect_midpoint_does_not_overflow():
+    root, residual, _, converged, width = bisect_sign_change(
+        lambda x: x - 1.5e308, 1e308, 1.7e308
+    )
+    assert converged
+    assert abs(root - 1.5e308) <= math.ulp(1.5e308)
+    assert residual == abs(root - 1.5e308)
+    assert width <= math.ulp(1.5e308)
+
+
+def test_bisect_reports_a_bracket_too_wide_to_collapse():
     root, residual, iterations, converged, width = bisect_sign_change(
-        step, 0.0, 1.0, 1e-9
+        lambda x: x - 0.2, -1e300, 1e300
     )
     assert not converged
-    assert residual == 1.0
     assert iterations == 64
-    assert width <= 1e-15
-    assert root - width <= 0.3 <= root + width
+    assert width > 1e280
+    assert residual == abs(root - 0.2)
 
 
 def test_max_entropy_c22_matches_closed_form():

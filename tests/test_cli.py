@@ -29,32 +29,26 @@ def test_thresholds_all(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["schema_version"] == "1"
+    assert record["parameters"] == {"curves": list(CURVES)}
+    assert record["provenance"] == {}
     rows = {r["curve"]: r for r in record["rows"]}
     assert set(rows) == {"honest", "maxent", "minconc", "hsw"}
-    assert abs(rows["minconc"]["epsilon_star"] - 0.2) <= 1e-6
-    assert abs(rows["minconc"]["qber"] - 0.1) <= 1e-6
+    assert (rows["minconc"]["epsilon_star"], rows["minconc"]["qber"]) == (0.2, 0.1)
     assert abs(rows["hsw"]["epsilon_star"] - 0.1230) <= 5e-4
     assert abs(rows["hsw"]["qber"] - 0.0615) <= 2.5e-4
     assert abs(rows["honest"]["epsilon_star"] - 0.29289) <= 1e-4
     assert abs(rows["maxent"]["epsilon_star"] - 0.21380) <= 1e-4
 
 
-def test_thresholds_single_curve_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "thresholds", "--curve", "honest", "--tol", "1e-9")
-    assert code == 0
-    record = json.loads(out)
-    (row,) = record["rows"]
-    assert row["residual"] <= 1e-9
-
-
-def test_thresholds_bad_tolerance_exits_one(capsys):
-    for tol in ("inf", "0.5", "nan", "1e-13"):
-        code, out, err = run_cli(
-            capsys, "thresholds", "--curve", "minconc", "--tol", tol
-        )
-        assert code == 1, tol
-        assert out == ""
-        assert "error" in err
+def test_thresholds_tol_is_not_a_flag(capsys):
+    """Bisection runs until its bracket collapses, so no tolerance is taken."""
+    for argv in (["--curve", "minconc", "--tol", "1e-9"], ["--all", "--tol=1e-6"]):
+        with pytest.raises(SystemExit) as err:
+            main(["thresholds", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -456,7 +450,7 @@ ARGV_PARTS = {
     "thresholds": [
         ([["--all"], ["--curve=hsw"], ["--curve=minconc"]],
          [[], ["--all", "--curve=hsw"], ["--curve=bogus"]]),
-        part("--tol", (None, "1e-9", "1e-6"), FLOATS),
+        part("--tol", (None,), ("1e-9", *FLOATS)),  # removed: a usage error
     ],
     "scan": [
         part("--start", ("0", "-0.0", "0.1"), (None, *FLOATS)),

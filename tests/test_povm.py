@@ -120,6 +120,21 @@ def test_validate_povm_rejects_incomplete_set():
         validate_povm(Povm(0.5 * np.eye(4)[None]))
 
 
+@pytest.mark.parametrize(
+    "support",
+    [np.full((4, 4), "x"), [[None]], np.full((4, 4), None), np.full((4, 4), np.nan)],
+    ids=["text", "none-1x1", "none", "nan"],
+)
+def test_validate_povm_rejects_a_support_that_is_not_finite_numbers(support):
+    """The support is checked like every matrix input, before its shape and
+    before the completeness sum, so none of these ends in a TypeError or in
+    "sum to identity only within nan"."""
+    with pytest.raises(ValueError) as caught:
+        validate_povm(Povm(np.eye(4)[None]), support)
+    assert type(caught.value) is ValueError
+    assert "sum to identity" not in str(caught.value)
+
+
 # unit trace, but with an antisymmetric part
 _SKEWED = np.eye(4) / 4 + 0.1 * (np.eye(4, k=1) - np.eye(4, k=-1))
 

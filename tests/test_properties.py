@@ -30,7 +30,6 @@ from bb84eve import (
     correlation_info,
     eig_hermitian,
     eve_curve,
-    find_threshold,
     general_state,
     hsw_bound,
     hsw_optimal,
@@ -321,7 +320,7 @@ MALFORMED_SHAPE_CALLS = {
         f"partial_trace dims {dims}": (
             lambda rho: rho, lambda m, dims=dims: partial_trace(m, dims, keep=0)
         )
-        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2))
+        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None)
     },
     **{
         f"partial_trace keep {keep!r}": (
@@ -498,7 +497,6 @@ INTERVAL_ARGUMENTS = {
     "mi_eve_optimal epsilon": (mi_eve_optimal, 0, 1),
     "hsw_optimal epsilon": (hsw_optimal, 0, 1),
     "eve_curve epsilon": (lambda v: eve_curve("hsw", v), 0, 0.5),
-    "find_threshold tolerance": (lambda v: find_threshold("minconc", v), 1e-12, 1e-3),
     "unbiased_noise_state epsilon": (unbiased_noise_state, 0, 1),
     "general_state epsilon": (general_state, 0, 1),
     **{

@@ -17,8 +17,12 @@ import itertools
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from bb84eve import accessible_info, conditioned_ancilla_from_state, general_state, hsw_bound
+from bb84eve import (
+    accessible_info, conditioned_ancilla_from_state, general_state, hsw_bound,
+    mutual_information,
+)
 from bb84eve.errors import NotPositive
 from bb84eve.linalg import PAULI
 from bb84eve.povm import Povm
@@ -130,3 +134,25 @@ def test_accessible_information_is_invariant_under_each_conjugation(draw, m):
     for f in _FLIPS:
         image = conditioned_ancilla_from_state(f @ rho @ f)
         assert abs(accessible_info(image, Povm(f @ m.elements @ f)) - info) <= 1e-13
+
+
+@st.composite
+def uniform_row_tables(draw, rows):
+    """A joint table with ``rows`` rows, each summing to 1/rows, over one to
+    four columns; entries may be zero."""
+    w = draw(arrays(float, (rows, draw(st.integers(1, 4))), elements=st.floats(0.0, 1.0)))
+    assume((w.sum(axis=1) > 0).all())
+    return w / w.sum(axis=1, keepdims=True) / rows
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 4), st.floats(0.0, 1.0))
+def test_a_held_label_carries_the_mixture_of_informations(data, rows, t):
+    # the concavity step's label lemma: with the mixing label in Eve's
+    # hands, her outcome is (label, j); Alice's marginal is the same uniform
+    # one under either label, so the label itself tells her nothing and the
+    # information is the average of the two
+    p1, p2 = data.draw(uniform_row_tables(rows)), data.draw(uniform_row_tables(rows))
+    joint = np.hstack((t * p1, (1 - t) * p2))
+    mixed = t * mutual_information(p1) + (1 - t) * mutual_information(p2)
+    assert abs(mutual_information(joint) - mixed) <= 1e-12
