@@ -112,7 +112,8 @@ def _accepted_draws(
 ) -> Iterator[tuple[np.ndarray, tuple[AncillaEnsemble, int]]]:
     """Each physical draw of ``nonsymmetric_search``'s trials, in trial
     order, with its conditioned ensemble and the optimizer seed drawn from
-    ``rng`` right after it."""
+    ``rng`` right after it.  A draw that ``general_state`` or the square
+    root rejects is skipped: their eigensolvers can disagree at the cutoff."""
     for trial in range(trials):
         if trial == 0:
             draw = center.copy()
@@ -121,10 +122,10 @@ def _accepted_draws(
         else:
             draw = rng.uniform(-1.0, 1.0, size=center.size)
         try:
-            rho = general_state(epsilon, *draw)
+            ensemble = conditioned_ancilla_from_state(general_state(epsilon, *draw))
         except NotPositive:
             continue
-        yield draw, (conditioned_ancilla_from_state(rho), int(rng.integers(2**63)))
+        yield draw, (ensemble, int(rng.integers(2**63)))
 
 
 def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:

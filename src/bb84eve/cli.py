@@ -103,9 +103,9 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    count = round((args.stop - args.start) / args.step) + 1
-    points = (args.start + i * args.step for i in range(count))
-    grid = [e for e in points if e <= args.stop + 1e-12]
+    # a point at most 1/1024 of a step past stop is roundoff and prints as stop
+    count = math.floor((args.stop - args.start) / args.step + 1 / 1024) + 1
+    grid = [min(args.start + i * args.step, args.stop) for i in range(count)]
     header = ["epsilon", "I_AB", *(f"I_{c}" for c in CURVES), "qber"]
     lines = [",".join(header)]
     for row in scan_curves(grid):
@@ -152,7 +152,7 @@ def cmd_povm_check(args) -> int:
     point = states.FamilyPoint(args.epsilon, args.c22)
     measurement = povm_mod.analytic_povm(point)
     ensemble = states.conditioned_ancilla(point)
-    alive = states.bell_weights(point) > states.ZERO_WEIGHT
+    alive = states.bell_weights(point) > 0.0
     support = np.diag(alive.astype(float))
     completeness = float(np.max(np.abs(measurement.total().real - support)))
 

@@ -7,7 +7,6 @@ by this package are in bits (logarithms base 2).
 
 from __future__ import annotations
 
-from collections.abc import Sized
 from numbers import Integral
 from typing import NamedTuple
 
@@ -16,10 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian, NotPositive
 
 HERMITICITY_TOL = 1e-10
-# Eigenvalues in [-NEGATIVE_EIGENVALUE_TOL, 0) are floating-point noise at
-# rank-deficient points and are treated as exact zeros.
-NEGATIVE_EIGENVALUE_TOL = 1e-10
-# Entropies and square roots drop eigenvalues at or below this.
+# The package's one roundoff zero: an eigenvalue or Bell weight within this of
+# 0 is exactly 0, and one below its negative is not positive.
 EIGENVALUE_CUTOFF = 1e-14
 
 PAULI = np.array(  # σ_0 = I, σ_x, σ_y, σ_z
@@ -38,10 +35,10 @@ class Spectrum(NamedTuple):
 def require_finite(m, dtype=None) -> np.ndarray:
     """``m`` as an array of ``dtype``; raises ``ValueError`` on a NaN or
     infinite entry, and on an array of text, bytes or objects."""
-    m = np.asarray(m, dtype=dtype)
+    m = np.asarray(m)
     if m.dtype.kind not in "biufc" or not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite numbers")
-    return m
+    return m if dtype is None else m.astype(dtype, copy=False)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -81,9 +78,9 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
-    """Raise ``NotPositive`` if an eigenvalue is below -``NEGATIVE_EIGENVALUE_TOL``."""
+    """Raise ``NotPositive`` if an eigenvalue is below -``EIGENVALUE_CUTOFF``."""
     smallest = eigenvalues.min()
-    if smallest < -NEGATIVE_EIGENVALUE_TOL:
+    if smallest < -EIGENVALUE_CUTOFF:
         raise NotPositive(
             f"not positive semidefinite: smallest eigenvalue {smallest:.6e}",
             min_eigenvalue=float(smallest),
@@ -122,11 +119,14 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     Raises ``ValueError`` on a non-finite entry.
     """
     m = require_finite(m)
-    if not isinstance(dims, Sized) or len(dims) != 2 or not all(
-        isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in dims
+    try:
+        da, db = dims
+    except (TypeError, ValueError):  # None, an int, a 0-d array, three dims
+        da = db = 0
+    if not all(
+        isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in (da, db)
     ):
         raise DimensionMismatch(f"dims {dims!r} are not two integers >= 1")
-    da, db = dims
     if m.ndim != 2 or m.shape != (da * db, da * db):
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not factor as {da}x{db}"

@@ -28,9 +28,8 @@ from .config import require_in, require_int
 from .errors import DimensionMismatch
 from .infotheory import mutual_information
 from .linalg import _hermitian_part, dyads, require_finite, require_psd, square_stack
-from .states import AncillaEnsemble, FamilyPoint, ZERO_WEIGHT, bell_weights
+from .states import NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint, bell_weights
 
-COMPLETENESS_TOL = 1e-9
 # A restart stops once its tangent gradient's norm falls to this.
 STATIONARY_TOL = 1e-5
 
@@ -96,7 +95,7 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     if target.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"support shape {target.shape} is not {povm.dim}x{povm.dim}")
     defect = float(np.max(np.abs(povm.total() - target)))
-    if not defect <= COMPLETENESS_TOL:  # NaN fails too
+    if not defect <= NORMALIZATION_SLACK:  # NaN fails too
         raise ValueError(f"elements sum to identity only within {defect:.3e}")
 
 
@@ -111,7 +110,7 @@ def analytic_povm(point: FamilyPoint) -> Povm:
     projectors onto the surviving axes 1 and 3.
     """
     w = bell_weights(point).tolist()
-    alive = [x > ZERO_WEIGHT for x in w]
+    alive = [x > 0.0 for x in w]
     one_minus = 1.0 - point.c22
     h3 = 0.5 if alive[2] else 0.0  # w0 vanishes only at the corner, replaced below
     sa = math.sqrt(w[0] / one_minus) if alive[0] and alive[1] else 0.0

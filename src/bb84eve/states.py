@@ -19,14 +19,12 @@ import numpy as np
 from .config import MAX_SAMPLES, require_in, require_int
 from .curves import _c22_interval
 from .errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized, OutOfRange
-from .linalg import PAULI, _hermitian_part, bell_basis, dyads, require_finite
-from .linalg import require_psd, sqrt_psd, square_stack
+from .linalg import EIGENVALUE_CUTOFF, PAULI, _hermitian_part, bell_basis, dyads
+from .linalg import require_finite, require_psd, sqrt_psd, square_stack
 
 OUTCOMES = ("z+", "z-", "x+", "x-")
 
-FEASIBILITY_SLACK = 1e-12
-ZERO_WEIGHT = 1e-12
-# Alice's marginals, state traces and joint tables' entries and sums, to within this.
+# Alice's marginals, traces, joint tables and POVM completeness, to within this.
 NORMALIZATION_SLACK = 1e-9
 
 _BELL = bell_basis()
@@ -48,14 +46,14 @@ class FamilyPoint:
     """A member of the symmetric family: noise ``epsilon`` and hidden ``c22``.
 
     Construction raises ``InfeasiblePoint`` unless the point is feasible to
-    within ``FEASIBILITY_SLACK``; NaN never is.
+    within ``EIGENVALUE_CUTOFF``, the package's roundoff zero; NaN never is.
     """
 
     epsilon: float
     c22: float
 
     def __post_init__(self):
-        e, c, slack = self.epsilon, self.c22, FEASIBILITY_SLACK
+        e, c, slack = self.epsilon, self.c22, EIGENVALUE_CUTOFF
         lo, hi = _c22_interval(e)
         if not (-slack <= e <= 1 + slack and lo - slack <= c <= hi + slack):
             raise InfeasiblePoint(
@@ -116,11 +114,12 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
     """Bell-basis weights of the symmetric state at ``point``.
 
     The weights are ((3-2ε-c22)/4, (1+c22)/4, (-1+2ε-c22)/4, (1+c22)/4);
-    they are the squared norms of Eve's four ancilla kets.
+    they are the squared norms of Eve's four ancilla kets.  One at most
+    ``EIGENVALUE_CUTOFF`` is exactly 0.0, so a live weight is one > 0.0.
     """
     e, c = point.epsilon, point.c22
-    w = np.array([3 - 2 * e - c, 1 + c, -1 + 2 * e - c, 1 + c]) / 4
-    return np.maximum(w, 0.0)  # strip feasibility-slack dust
+    w = ((3 - 2 * e - c) / 4, (1 + c) / 4, (-1 + 2 * e - c) / 4, (1 + c) / 4)
+    return np.array([x if x > EIGENVALUE_CUTOFF else 0.0 for x in w])
 
 
 def unbiased_noise_state(epsilon: float) -> np.ndarray:

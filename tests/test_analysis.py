@@ -20,7 +20,7 @@ from bb84eve import (
 )
 from bb84eve import analysis, config, linalg, povm, states
 from bb84eve.curves import C22_RULES, bisect_sign_change
-from bb84eve.errors import NoSignChange, OutOfRange
+from bb84eve.errors import NoSignChange, NotPositive, OutOfRange
 
 
 def test_eve_curve_values():
@@ -280,6 +280,27 @@ def test_nonsymmetric_search_no_advantage_and_deterministic():
     assert a.near_optimum_count >= 1
     with pytest.raises(OutOfRange):
         nonsymmetric_search(0.25, trials=0, seed=1)
+
+
+def test_nonsymmetric_search_counts_a_draw_the_square_root_rejects_as_rejected(monkeypatch):
+    # general_state's eigvalsh and the square root's eigh can read one
+    # boundary state's λ_min either side of the cutoff; such a draw is
+    # skipped, and the search goes on.  At seed 7 both trials are accepted,
+    # and the second is the last, so its rejection shifts no later draw.
+    whole = nonsymmetric_search(0.25, 2, 7)
+    assert whole.accepted == 2
+    real, calls = analysis.conditioned_ancilla_from_state, []
+
+    def rejects_the_second(rho):
+        calls.append(rho)
+        if len(calls) == 2:
+            raise NotPositive("not positive semidefinite", min_eigenvalue=-1.0005e-14)
+        return real(rho)
+
+    monkeypatch.setattr(analysis, "conditioned_ancilla_from_state", rejects_the_second)
+    report = nonsymmetric_search(0.25, 2, 7)
+    assert (report.accepted, len(calls)) == (1, 2)
+    assert report.best_parameters[4] == -0.5  # trial 0, the symmetric optimum
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.4])

@@ -163,6 +163,18 @@ def test_scan_grid(capsys, tmp_path):
     assert abs(float(at_02[1]) - float(at_02[4])) <= 1e-9  # I_AB == I_minconc
 
 
+@pytest.mark.parametrize(
+    "start, stop, step", [("0", "3.6e-13", "1e-13"), ("0.4999999", "0.5", "3.6e-13")]
+)
+def test_scan_prints_no_point_past_stop(capsys, start, stop, step):
+    # a point past stop by more than roundoff is dropped, not printed (the
+    # first grid) nor passed to scan_curves out of range (the second)
+    code, out, _ = run_cli(capsys, "scan", "--start", start, "--stop", stop, "--step", step)
+    assert code == 0
+    epsilons = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert epsilons[0] == float(start) and max(epsilons) <= float(stop)
+
+
 def test_scan_rejects_bad_grid(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scan", "--start", "0.4", "--stop", "0.2", "--step", "0.01"])

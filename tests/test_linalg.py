@@ -136,8 +136,10 @@ def test_sqrt_psd_rejects_negative_eigenvalue():
     assert err.value.min_eigenvalue == pytest.approx(-0.1)
     with pytest.raises(NotPositive):  # the rule von_neumann_entropy applies
         von_neumann_entropy(np.diag([0.6, 0.5, -0.1]))
-    # noise within NEGATIVE_EIGENVALUE_TOL is rooted as zero
-    assert np.allclose(sqrt_psd(np.diag([1.0, -1e-11])), np.diag([1.0, 0.0]))
+    # noise within EIGENVALUE_CUTOFF = 1e-14 is rooted as zero; beyond it is not
+    assert np.array_equal(sqrt_psd(np.diag([1.0, -5e-15])), np.diag([1.0, 0.0]))
+    with pytest.raises(NotPositive):
+        sqrt_psd(np.diag([1.0, -1e-11]))
 
 
 def test_bell_basis_orthonormal():

@@ -44,7 +44,7 @@ from bb84eve.povm import (
     _retract,
     _tangent,
 )
-from bb84eve.states import ZERO_WEIGHT, bell_weights
+from bb84eve.states import bell_weights
 from conftest import family_edge, physical_general_draws, povms, random_feasible_point
 
 # frozen: 0.5 * correlation_info(sqrt(0.96))
@@ -52,7 +52,7 @@ HALF_PHI_SQRT096 = 0.45926554249282286
 
 
 def support_projector(point):
-    alive = bell_weights(point) > ZERO_WEIGHT
+    alive = bell_weights(point) > 0.0
     return np.diag(alive.astype(complex))
 
 
@@ -192,6 +192,19 @@ def test_accessible_info_epsilon_independent():
         values.append(accessible_info(conditioned_ancilla(point), analytic_povm(point)))
     assert np.max(values) - np.min(values) <= 1e-9
     assert abs(values[0] - mi_eve_analytic(c22)) <= 1e-10
+
+
+def test_analytic_oracle_holds_next_to_the_edges():
+    # a Bell weight w at most EIGENVALUE_CUTOFF is zero in the ensemble and
+    # the measurement alike; one just above it keeps its axis in both
+    worst = 0.0
+    for epsilon in np.linspace(0.01, 0.99, 25):
+        for w in 10.0 ** np.linspace(-16, -10, 25):
+            for c22 in (-1 + 4 * w, 2 * epsilon - 1 - 4 * w):
+                point = FamilyPoint(float(epsilon), float(c22))
+                got = accessible_info(conditioned_ancilla(point), analytic_povm(point))
+                worst = max(worst, abs(got - mi_eve_analytic(point.c22)))
+    assert worst <= 1e-11
 
 
 def test_accessible_info_dimension_check():

@@ -51,9 +51,8 @@ from bb84eve import (
 )
 from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized
 from bb84eve.errors import NotPositive, OutOfRange
-from bb84eve.linalg import PAULI
-from bb84eve.povm import COMPLETENESS_TOL
-from bb84eve.states import _FREE_NAMES, _HIDDEN, ZERO_WEIGHT, bell_weights
+from bb84eve.linalg import PAULI, require_finite, sqrt_psd
+from bb84eve.states import _FREE_NAMES, _HIDDEN, NORMALIZATION_SLACK, bell_weights
 from bb84eve.states import two_qubit_operator
 from conftest import physical_general_draws
 
@@ -124,9 +123,9 @@ def test_information_invariant_under_conjugation(point):
 @PROPERTY
 @given(feasible_points())
 def test_analytic_povm_complete_on_support(point):
-    support = np.diag((bell_weights(point) > ZERO_WEIGHT).astype(complex))
+    support = np.diag((bell_weights(point) > 0.0).astype(complex))
     total = analytic_povm(point).total()
-    assert np.max(np.abs(total - support)) <= COMPLETENESS_TOL
+    assert np.max(np.abs(total - support)) <= NORMALIZATION_SLACK
 
 
 def holevo_operators(ensemble, m):
@@ -152,7 +151,7 @@ def test_analytic_povm_satisfies_holevo_conditions(point):
     ensemble = conditioned_ancilla(point)
     f, lam = holevo_operators(ensemble, analytic_povm(point))
     assert np.linalg.norm(lam - lam.conj().T) <= 1e-12
-    alive = bell_weights(point) > ZERO_WEIGHT
+    alive = bell_weights(point) > 0.0
     on_support = (lam - f)[:, alive][:, :, alive]
     assert np.linalg.eigvalsh(on_support).min() >= -1e-12
 
@@ -224,32 +223,69 @@ def test_general_state_is_the_measured_table_plus_the_hidden_coefficients(draw):
         assert abs(c[int(name[1]), int(name[2])] - value) <= 1e-12
 
 
-@PROPERTY
-@given(physical_general_states())
-def test_holevo_quantity_is_entropy_less_bob_conditioned_entropies(rho):
-    # Eve holds a purification, so S(ρ_E) = S(ρ) and each of her conditioned
-    # states has the spectrum of Bob's, ρ_B|a = 2·tr_A[(P_a ⊗ I)ρ]
+def entropy_less_bob_conditioned_entropies(rho):
+    """S(ρ) − ¼·Σ_a S(ρ_B|a), ρ_B|a = 2·tr_A[(P_a ⊗ I)ρ]: Eve holds a
+    purification, so S(ρ_E) = S(ρ) and each of her conditioned states has
+    the spectrum of Bob's."""
     kets = np.array([[1, 0], [0, 1], [1, 1], [1, -1]]) / np.sqrt([1, 1, 2, 2])[:, None]
     bob = [
         2 * partial_trace(np.kron(np.outer(k, k), np.eye(2)) @ rho, (2, 2), keep=1)
         for k in kets
     ]
-    want = von_neumann_entropy(rho) - sum(von_neumann_entropy(b) for b in bob) / 4
-    # general_state admits eigenvalues down to -1e-10, which the square root
-    # reads as zeros; the two sides then see states up to the negative
-    # eigenvalues' sum t apart, and entropy moves by about h(t) at such a step
-    lam = np.linalg.eigvalsh(rho)
-    slack = 2 * binary_entropy(-lam[lam < 0].sum())
-    assert abs(hsw_bound(conditioned_ancilla_from_state(rho)) - want) <= 1e-12 + slack
+    return von_neumann_entropy(rho) - sum(von_neumann_entropy(b) for b in bob) / 4
+
+
+@PROPERTY
+@given(physical_general_states())
+def test_holevo_quantity_is_entropy_less_bob_conditioned_entropies(rho):
+    want = entropy_less_bob_conditioned_entropies(rho)
+    assert abs(hsw_bound(conditioned_ancilla_from_state(rho)) - want) <= 1e-12
+
+
+def boundary_states(count, seed):
+    """``count`` states on the edge of what the search accepts: from the
+    interior symmetric state c22 = ε − 1 towards a seeded unphysical point
+    of [-1, 1]^7, the pull bisected until the bracket collapses, and the
+    last accepted state taken, with its conditioned ensemble."""
+    def accepted(epsilon, hidden):
+        try:
+            rho = general_state(epsilon, *hidden)
+            return rho, conditioned_ancilla_from_state(rho)
+        except NotPositive:
+            return None
+
+    rng = np.random.default_rng(seed)
+    while count:
+        epsilon, target = rng.uniform(0.01, 0.99), rng.uniform(-1.0, 1.0, 7)
+        centre = np.zeros(7)
+        centre[_FREE_NAMES.index("c22")] = epsilon - 1
+        if accepted(epsilon, target):
+            continue
+        lo, hi = 0.0, 1.0
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if accepted(epsilon, centre + mid * (target - centre)):
+                lo = mid
+            else:
+                hi = mid
+        count -= 1
+        yield accepted(epsilon, centre + lo * (target - centre))
+
+
+def test_holevo_routes_agree_on_the_positivity_boundary():
+    # the square root and eigvalsh read an eigenvalue within EIGENVALUE_CUTOFF
+    # of 0 as 0 and reject one below it alike, so both routes see one state
+    for rho, ensemble in boundary_states(60, seed=28):
+        assert np.linalg.eigvalsh(rho).min() >= -2e-14
+        assert abs(hsw_bound(ensemble) - entropy_less_bob_conditioned_entropies(rho)) <= 1e-12
 
 
 @PROPERTY
 @given(physical_general_states())
 def test_canonical_ensemble_averages_to_conjugate_state(rho):
-    # Eve's marginal of (√ρ ⊗ I)|Φ⁺⟩ is ρ*; general_state admits eigenvalues
-    # down to -1e-10, which the square root reads as zeros
+    # Eve's marginal of (√ρ ⊗ I)|Φ⁺⟩ is ρ*, up to the eigenvalues within
+    # EIGENVALUE_CUTOFF of 0 that the square root reads as zeros
     ensemble = conditioned_ancilla_from_state(rho)
-    assert np.max(np.abs(ensemble.states.mean(axis=0) - rho.conj())) <= 1e-9
+    assert np.max(np.abs(ensemble.states.mean(axis=0) - rho.conj())) <= 1e-12
 
 
 @PROPERTY
@@ -317,10 +353,10 @@ MALFORMED_SHAPE_CALLS = {
         lambda support: validate_povm(Povm(np.eye(4)[None]), support),
     ),
     **{
-        f"partial_trace dims {dims}": (
+        f"partial_trace dims {dims!r}": (
             lambda rho: rho, lambda m, dims=dims: partial_trace(m, dims, keep=0)
         )
-        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None)
+        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None, np.array(5))
     },
     **{
         f"partial_trace keep {keep!r}": (
@@ -334,8 +370,24 @@ MALFORMED_SHAPE_CALLS = {
 # Each entry: an input of the right shape made from a density, the call
 # that must reject its values, and the error it raises.  A Hermitian,
 # unit-trace ρ + 1.5·σ_z ⊗ I gives every (bob, z-) entry of the joint table
-# 0.375 less, below zero, while the table still sums to 1.
+# 0.375 less, below zero, while the table still sums to 1.  Numeric text
+# such as "(0.25+0j)" converts to complex, so it must be refused before any cast.
 BAD_VALUE_CALLS = {
+    "require_finite text": (
+        lambda rho: rho.astype(str), lambda m: require_finite(m, complex), ValueError
+    ),
+    "von_neumann_entropy text": (lambda rho: rho.astype(str), von_neumann_entropy, ValueError),
+    "AncillaEnsemble text": (
+        lambda rho: np.stack([rho] * 4).astype(str), AncillaEnsemble, ValueError
+    ),
+    "Povm text": (
+        lambda rho: np.stack((rho, np.eye(4) - rho)).astype(str), Povm, ValueError
+    ),
+    "validate_povm support text": (
+        lambda rho: np.eye(4).astype(str),
+        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
+        ValueError,
+    ),
     **{
         f"{call.__name__} non-Hermitian": (
             lambda rho: rho + np.triu(np.full((4, 4), 1e-3), 1), call, NotHermitian
@@ -379,6 +431,12 @@ def test_bad_value_rejected(name, rho):
 # call that checks it; and the error it raises once t exceeds the tolerance.
 # The test takes t at half and at twice the tolerance.
 TOLERANCE_EDGES = {
+    "EIGENVALUE_CUTOFF sqrt_psd": (
+        1e-14,
+        lambda rho, t: rho - (np.linalg.eigvalsh(rho)[0] + t) * np.eye(4),
+        sqrt_psd,
+        NotPositive,
+    ),
     "HERMITICITY_TOL pauli_coefficients": (
         1e-10, lambda rho, t: rho + t * np.eye(4, k=1), pauli_coefficients, NotHermitian
     ),
@@ -391,7 +449,7 @@ TOLERANCE_EDGES = {
     "NORMALIZATION_SLACK mutual_information": (
         1e-9, lambda rho, t: (1 + t) * joint_table(rho), mutual_information, NotNormalized
     ),
-    "COMPLETENESS_TOL validate_povm": (
+    "NORMALIZATION_SLACK validate_povm": (
         1e-9,
         lambda rho, t: Povm(np.stack((rho, (1 + t) * np.eye(4) - rho))),
         validate_povm,
@@ -415,8 +473,9 @@ def test_tolerance_edge(name, rho):
 @example(0.0)
 @example(1.0)
 def test_feasibility_slack_edge(epsilon):
-    # FEASIBILITY_SLACK is 1e-12; c22 lies in [-1, 2ε - 1] and ε in [0, 1]
-    inside, outside = 5e-13, 2e-12
+    # a point may lie outside c22 in [-1, 2ε - 1], ε in [0, 1], by at most
+    # EIGENVALUE_CUTOFF = 1e-14; 2**-48 and 2**-45 are exact on either side
+    inside, outside = 2.0**-48, 2.0**-45
     for t in (inside, -inside):
         FamilyPoint(epsilon, 2 * epsilon - 1 + t)
         FamilyPoint(epsilon, -1 - t)
@@ -430,12 +489,14 @@ def test_feasibility_slack_edge(epsilon):
             call()
 
 
-@pytest.mark.parametrize("weight, alive", [(5e-13, 0.0), (2e-12, 1.0)])
+@pytest.mark.parametrize(
+    "weight, alive", [(2.0**-48, 0.0), (2.0**-45, 1.0)], ids=["zero", "alive"]
+)
 def test_zero_weight_edge(weight, alive):
-    # ZERO_WEIGHT is 1e-12: the analytic measurement drops the ancilla axes
-    # whose Bell weight is at most that, and is complete on the others
+    # a Bell weight at most EIGENVALUE_CUTOFF = 1e-14 is exactly zero, and the
+    # analytic measurement drops its ancilla axis; it is complete on the others
     point = FamilyPoint(0.3, -1 + 4 * weight)  # weights 1 and 3 are `weight`
-    assert bell_weights(point)[[1, 3]] == pytest.approx([weight] * 2, rel=1e-3)
+    assert bell_weights(point)[[1, 3]].tolist() == [alive * weight] * 2
     total = np.diag(analytic_povm(point).total()).real
     assert np.max(np.abs(total - [1.0, alive, 1.0, alive])) <= 1e-9
 

@@ -6,11 +6,6 @@ table and c22 and flips the sign of some hidden coefficients, so T maps
 every state that fits the data to the symmetric state with its c22; and
 each leaves Eve's Holevo quantity and her accessible information as they
 were.
-
-The states are drawn from ``general_state`` with no negative eigenvalue:
-``general_state`` accepts eigenvalues down to -1e-10, which the canonical
-purification's square root reads as zeros, so such a state and its
-conjugates are not exactly the states the two sides of a check see.
 """
 
 import itertools
@@ -20,8 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bb84eve import (
-    accessible_info, conditioned_ancilla_from_state, general_state, hsw_bound,
-    mutual_information,
+    FamilyPoint, accessible_info, bell_diagonal_state, conditioned_ancilla_from_state,
+    general_state, hsw_bound, hsw_optimal, mutual_information, partial_trace,
+    von_neumann_entropy,
 )
 from bb84eve.errors import NotPositive
 from bb84eve.linalg import PAULI
@@ -82,9 +78,12 @@ def test_conjugation_sign_table():
 
 @st.composite
 def physical_draws(draw):
-    """(ε, hidden coefficients) of a ``general_state`` with no negative
-    eigenvalue: a point of [-1, 1]^7 pulled toward the symmetric state of
-    c22 = ε - 1, the pull halved until the state qualifies."""
+    """(ε, hidden coefficients) of a physical ``general_state``: a point of
+    [-1, 1]^7 pulled toward the symmetric state of c22 = ε - 1, the pull
+    halved until the state and its conjugates are accepted.  That centre is
+    interior but at ε = 0, where eigvalsh of ρ and the square root's eigh
+    of a conjugate can read one λ_min either side of EIGENVALUE_CUTOFF, as
+    ``nonsymmetric_search``'s two checks can."""
     epsilon = draw(st.floats(0.0, 1.0))
     target = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)))
     centre = np.zeros(7)
@@ -93,12 +92,13 @@ def physical_draws(draw):
     for _ in range(64):
         hidden = centre + pull * (target - centre)
         try:
-            if np.linalg.eigvalsh(general_state(epsilon, *hidden)).min() >= 0:
-                return epsilon, hidden
+            rho = general_state(epsilon, *hidden)
+            for f in _FLIPS:
+                conditioned_ancilla_from_state(f @ rho @ f)
+            return epsilon, hidden
         except NotPositive:
-            pass
-        pull /= 2
-    assume(False)  # the centre itself has a roundoff-negative eigenvalue
+            pull /= 2
+    assume(False)  # the centre itself reads below -EIGENVALUE_CUTOFF
 
 
 @PROPERTY
@@ -134,6 +134,23 @@ def test_accessible_information_is_invariant_under_each_conjugation(draw, m):
     for f in _FLIPS:
         image = conditioned_ancilla_from_state(f @ rho @ f)
         assert abs(accessible_info(image, Povm(f @ m.elements @ f)) - info) <= 1e-13
+
+
+def test_bob_conditioned_entropy_is_constant_in_c22_on_the_symmetric_family():
+    # ¼·Σ_a S(ρ_B|a), ρ_B|a = 2·tr_A[(P_a ⊗ I)ρ], is the average entropy of
+    # Eve's conditioned states; at every feasible c22 it is h(ε/2), the
+    # value hsw_optimal gives, so χ = S(ρ) − h(ε/2) depends on c22 only
+    # through S(ρ)
+    kets = np.array([[1, 0], [0, 1], [1, 1], [1, -1]]) / np.sqrt([1, 1, 2, 2])[:, None]
+    alice = [np.kron(np.outer(k, k), np.eye(2)) for k in kets]
+    worst = 0.0
+    for epsilon in np.linspace(0.0, 1.0, 41):
+        for t in np.linspace(0.0, 1.0, 17):
+            rho = bell_diagonal_state(FamilyPoint(epsilon, -1 + 2 * epsilon * t))
+            bob = [2 * partial_trace(p @ rho, (2, 2), keep=1) for p in alice]
+            average = sum(von_neumann_entropy(b) for b in bob) / 4
+            worst = max(worst, abs(average - hsw_optimal(epsilon)))
+    assert worst <= 1e-14
 
 
 @st.composite
