@@ -270,6 +270,10 @@ def main(argv: list[str] | None = None) -> int:
                 "scan grid must satisfy 0 <= start < stop <= 0.5, finite step > 0, "
                 f"at most {MAX_SCAN_POINTS} points"
             )
+        # ε prints with 12 significant digits, so a narrower step repeats rows
+        unit = 10.0 ** (math.floor(math.log10(args.stop)) - 11)
+        if args.step <= unit:
+            parser.error(f"scan step must exceed {unit:g}, one unit in the 12th digit of stop")
     if args.out is not None and not _writable_file(args.out):
         parser.error(
             f"argument --out: cannot write {args.out!r}; "

@@ -19,9 +19,10 @@ from .states import two_qubit_operator
 def mutual_information(table: np.ndarray) -> float:
     """Shannon mutual information of a joint probability table, in bits.
 
-    Zero entries contribute zero.  Raises ``DimensionMismatch`` unless the
-    table is 2-D, and ``NotNormalized`` for a complex array or unless all
-    entries are nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
+    Zero entries contribute zero, as do entries whose marginal product
+    underflows to 0.  Raises ``DimensionMismatch`` unless the table is 2-D,
+    and ``NotNormalized`` for a complex array or unless all entries are
+    nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
     """
     if np.iscomplexobj(table):
         raise NotNormalized("table must be a real array, not a complex one")
@@ -34,7 +35,8 @@ def mutual_information(table: np.ndarray) -> float:
     if not abs(total - 1.0) <= NORMALIZATION_SLACK:  # NaN fails too
         raise NotNormalized(f"entries sum to {float(total)}, not 1")
     marg = p.sum(axis=1)[:, None] * p.sum(axis=0)
-    mask = p > 0
+    # marg underflows to 0 only where p² < 2**-1075: that term is below 2**-528 bits
+    mask = (p > 0) & (marg > 0)
     return float((p[mask] * np.log2(p[mask] / marg[mask])).sum())
 
 

@@ -7,12 +7,12 @@ by this package are in bits (logarithms base 2).
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositive
+from .config import require_int
+from .errors import DimensionMismatch, NotHermitian, NotPositive, OutOfRange
 
 HERMITICITY_TOL = 1e-10
 # The package's one roundoff zero: an eigenvalue or Bell weight within this of
@@ -70,11 +70,11 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     has passed the Hermiticity check; a genuinely non-Hermitian input raises
     ``NotHermitian`` instead of being silently repaired.
     """
-    if np.ndim(m) != 2:
-        raise DimensionMismatch(f"shape {np.shape(m)} is not one square matrix")
-    w, v = np.linalg.eigh(_hermitian_part(require_finite(m, complex)))
-    order = np.argsort(w)[::-1]
-    return Spectrum(w[order], v[:, order])
+    m = require_finite(m, complex)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"shape {m.shape} is not one square matrix")
+    w, v = np.linalg.eigh(_hermitian_part(m))  # ascending, as LAPACK returns it
+    return Spectrum(w[::-1], v[:, ::-1])
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
@@ -123,20 +123,17 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
         da, db = dims
     except (TypeError, ValueError):  # None, an int, a 0-d array, three dims
         da = db = 0
-    if not all(
-        isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in (da, db)
-    ):
-        raise DimensionMismatch(f"dims {dims!r} are not two integers >= 1")
+    try:
+        for n in (da, db):
+            require_int("dims", n, 1)
+        require_int("keep", keep, 0, 1)
+    except OutOfRange as exc:
+        raise DimensionMismatch(f"dims={dims!r}, keep={keep!r}: {exc}") from None
     if m.ndim != 2 or m.shape != (da * db, da * db):
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not factor as {da}x{db}"
         )
-    if not isinstance(keep, Integral) or isinstance(keep, bool) or keep not in (0, 1):
-        raise DimensionMismatch(f"keep={keep!r} must be 0 (first factor) or 1 (second)")
-    t = m.reshape(da, db, da, db)
-    if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)
+    return np.trace(m.reshape(da, db, da, db), axis1=1 - keep, axis2=3 - keep)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

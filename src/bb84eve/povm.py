@@ -254,12 +254,6 @@ def _tangent(kets: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z - kets @ herm.reshape(r, d, -1)
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real inner product Re tr(x†y) of each pair in the batch: the dot
-    product of the real and imaginary parts side by side."""
-    return np.einsum("rki,rki->r", x.view(float), y.view(float))
-
-
 def _next_step(
     step: np.ndarray, slope: np.ndarray, shortfall: np.ndarray, kept: np.ndarray | bool
 ) -> np.ndarray:
@@ -325,7 +319,8 @@ def _conjugate_gradient(
     gradient and direction, written over their entries' old ones: ξ' +
     β·(old η projected onto the new tangent space), with the hybrid
     Hestenes–Stiefel/Dai–Yuan β, falling back to ξ' unless it ascends
-    (``_direction``); a rejected entry keeps its point, ξ and η.
+    (``_direction``); a rejected entry keeps its point, ξ and η.  The first
+    direction is ξ itself: ``_direction`` with zero old η and ξ, so β = 0.
     An iteration whose trials are all kept updates the batch through a
     basic slice, with no index copies.  An entry leaves the batch once
     ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``, and its states
@@ -337,8 +332,8 @@ def _conjugate_gradient(
     states_cols = states.transpose(0, 3, 1, 2).reshape(r, d, a * d)
     values, ratios, sk = _batch_info_and_ratios(kets, states_cols)
     grad = _tangent(kets, _gradient(ratios, sk))
-    sq = _inner(grad, grad)
-    direction, slope = grad.copy(), sq.copy()  # updated in place: no aliases of grad, sq
+    zeros = np.zeros_like(grad)
+    direction, slope, sq = _direction(grad, zeros, zeros)
     step = np.full(kets.shape[0], 0.25)
     out_kets = np.empty_like(kets)
     out_values = np.empty_like(values)

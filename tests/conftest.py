@@ -62,15 +62,21 @@ def family_edge(epsilon, c22):
 
 
 @st.composite
-def povms(draw, d=4):
-    """Random rank-one POVMs on C^d: up to 12 drawn kets and the d axes,
-    each mapped by G^(-1/2), G the sum of their dyads, so that the dyads
-    sum to the identity."""
-    from bb84eve.linalg import dyads
-    from bb84eve.povm import Povm
-
+def complete_kets(draw, d=4):
+    """Random complete sets of rank-one kets on C^d, as rows: up to 12
+    drawn kets and the d axes, each mapped by G^(-1/2), G the sum of their
+    dyads, so that the dyads sum to the identity."""
     n = draw(st.integers(0, 12))
     g = draw(arrays(float, (2, n, d), elements=st.floats(-1.0, 1.0)))
     kets = np.concatenate((g[0] + 1j * g[1], np.eye(d)))
     lam, vec = np.linalg.eigh(kets.T @ kets.conj())
-    return Povm(dyads(kets @ ((vec / np.sqrt(lam)) @ vec.conj().T).T))
+    return kets @ ((vec / np.sqrt(lam)) @ vec.conj().T).T
+
+
+@st.composite
+def povms(draw, d=4):
+    """The rank-one POVM of a ``complete_kets`` draw."""
+    from bb84eve.linalg import dyads
+    from bb84eve.povm import Povm
+
+    return Povm(dyads(draw(complete_kets(d))))

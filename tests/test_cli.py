@@ -164,15 +164,32 @@ def test_scan_grid(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "start, stop, step", [("0", "3.6e-13", "1e-13"), ("0.4999999", "0.5", "3.6e-13")]
+    "start, stop, step", [("0", "3.6e-13", "1e-13"), ("0.4", "0.5", "0.05001")]
 )
 def test_scan_prints_no_point_past_stop(capsys, start, stop, step):
-    # a point past stop by more than roundoff is dropped, not printed (the
-    # first grid) nor passed to scan_curves out of range (the second)
+    # a point past stop by more than 1/1024 of a step is dropped (the first
+    # grid), and one past it by less prints as stop (the second, 0.50002):
+    # neither is printed or passed to scan_curves out of range
     code, out, _ = run_cli(capsys, "scan", "--start", start, "--stop", stop, "--step", step)
     assert code == 0
     epsilons = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert epsilons[0] == float(start) and max(epsilons) <= float(stop)
+
+
+def test_scan_rejects_a_step_below_the_printed_resolution(capsys):
+    # ε prints with 12 significant digits; a step no wider than one unit in
+    # the 12th digit of stop would print equal ε rows
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--start", "0.4999999", "--stop", "0.5", "--step", "3.6e-13"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    for start, stop, step, rows in (
+        ("0.4999999", "0.5", "2e-12", 50001), ("0", "1e-10", "1e-12", 101)
+    ):
+        code, out, _ = run_cli(capsys, "scan", "--start", start, "--stop", stop, "--step", step)
+        epsilons = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert code == 0 and len(set(epsilons)) == len(epsilons) == rows
 
 
 def test_scan_rejects_bad_grid(capsys):

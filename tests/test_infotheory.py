@@ -139,6 +139,13 @@ def test_mutual_information_independence_and_correlation():
     assert abs(mutual_information(np.array([[0.5, 0], [0, 0.5]])) - 1.0) <= 1e-15
 
 
+def test_mutual_information_is_finite_where_a_marginal_product_underflows():
+    # 0.5 · 4.9e-324 rounds to 0 under the subnormal entry at [1, 0]
+    table = np.array([[0, 0.25, 0.25], [4.9e-324, 0.5, 4.9e-324]])
+    zeroed = np.where(table < 1e-300, 0.0, table)
+    assert abs(mutual_information(table) - mutual_information(zeroed)) <= 1e-15
+
+
 def test_mutual_information_validation():
     with pytest.raises(NotNormalized):
         mutual_information(np.array([[0.5, 0.2], [0.2, 0.2]]))

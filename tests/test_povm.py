@@ -38,7 +38,6 @@ from bb84eve.povm import (
     _batch_info_and_ratios,
     _conjugate_gradient,
     _gradient,
-    _inner,
     _next_step,
     _random_starts,
     _retract,
@@ -49,6 +48,11 @@ from conftest import family_edge, physical_general_draws, povms, random_feasible
 
 # frozen: 0.5 * correlation_info(sqrt(0.96))
 HALF_PHI_SQRT096 = 0.45926554249282286
+
+
+def _inner(x, y):
+    """Re tr(x†y) of each pair in the batch."""
+    return np.einsum("rki,rki->r", x.conj(), y).real
 
 
 def support_projector(point):
@@ -668,22 +672,35 @@ def test_every_new_direction_has_nonnegative_beta_and_ascends(monkeypatch):
     tangent, direction = povm_mod._tangent, povm_mod._direction
 
     # snapshots: the arguments can be views of arrays the ascent later
-    # overwrites in place
+    # overwrites in place, and the first call's results become those arrays
     def recording_tangent(kets, z):
         at.append(kets.copy())
         return tangent(kets, z)
 
     def recording_direction(new_grad, moved, grad):
         out = direction(new_grad, moved, grad)
-        records.append((at[-1], new_grad.copy(), moved.copy(), grad.copy(), out))
+        copies = tuple(x.copy() for x in out)
+        records.append((at[-1], new_grad.copy(), moved.copy(), grad.copy(), copies))
         return out
 
     monkeypatch.setattr(povm_mod, "_tangent", recording_tangent)
     monkeypatch.setattr(povm_mod, "_direction", recording_direction)
+    starts = []
     for eps, c22 in ((0.3, -0.4), (0.09, -0.9)):
         ens = conditioned_ancilla(FamilyPoint(eps, c22))
+        first = len(records)
         optimize_povm(ens, OptimizerConfig(restarts=4, max_iterations=200, seed=3))
+        starts.append(records.pop(first))
     assert len(records) > 50
+
+    # the first direction comes from a zero old direction and gradient,
+    # where β is 0/0 by the reference below: it is ξ itself
+    for _, xi, moved, grad, (new_dir, slope, sq) in starts:
+        assert not (moved.any() or grad.any())
+        assert np.array_equal(new_dir, xi)
+        assert np.array_equal(slope, sq)
+        assert np.allclose(sq, _inner(xi, xi), rtol=1e-12, atol=0)
+        assert np.all(sq > 0)
 
     for trial, xi, moved, grad, (new_dir, slope, sq) in records:
         y = xi - _tangent(trial, grad)

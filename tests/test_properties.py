@@ -337,8 +337,9 @@ NON_FINITE_CALLS = {
 
 
 # Each entry: an input of the wrong shape made from a density, and the call
-# that must reject it with DimensionMismatch.  eig_hermitian's argsort over a
-# stack would reorder the stack axis, not each spectrum.
+# that must reject it with DimensionMismatch.  eig_hermitian's reversal of
+# eigh's ascending order, over a stack, would reverse the stack axis and each
+# matrix's rows, not each spectrum.
 MALFORMED_SHAPE_CALLS = {
     "eig_hermitian stack": (lambda rho: np.stack((rho, 2 * rho)), eig_hermitian),
     "eig_hermitian non-square": (lambda rho: rho[:3], eig_hermitian),

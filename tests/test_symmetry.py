@@ -20,10 +20,10 @@ from bb84eve import (
     von_neumann_entropy,
 )
 from bb84eve.errors import NotPositive
-from bb84eve.linalg import PAULI
-from bb84eve.povm import Povm
+from bb84eve.linalg import PAULI, dyads
+from bb84eve.povm import Povm, validate_povm
 from bb84eve.states import _FREE_NAMES, _HIDDEN
-from conftest import povms
+from conftest import complete_kets, povms
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -173,3 +173,56 @@ def test_a_held_label_carries_the_mixture_of_informations(data, rows, t):
     joint = np.hstack((t * p1, (1 - t) * p2))
     mixed = t * mutual_information(p1) + (1 - t) * mutual_information(p2)
     assert abs(mutual_information(joint) - mixed) <= 1e-12
+
+
+@st.composite
+def invertible_pairs(draw):
+    """Two ``general_state`` draws at one ε in [0.01, 1], each a point of
+    [-1, 1]^7 pulled toward the symmetric state of c22 = ε - 1, whose
+    λ_min is ε/4, the pull halved until λ_min >= 1e-3."""
+    epsilon = draw(st.floats(0.01, 1.0))
+    centre = np.zeros(7)
+    centre[_FREE_NAMES.index("c22")] = epsilon - 1
+    pair = []
+    for _ in range(2):
+        target = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7)))
+        pull = draw(st.floats(0.0, 1.0))
+        while True:
+            try:
+                rho = general_state(epsilon, *(centre + pull * (target - centre)))
+                if np.linalg.eigvalsh(rho)[0] >= 1e-3:
+                    break
+            except NotPositive:
+                pass
+            pull /= 2
+        pair.append(rho)
+    return pair
+
+
+def _power(rho, p):
+    """ρ^p of a positive definite ρ."""
+    lam, vec = np.linalg.eigh(rho)
+    return (vec * lam**p) @ vec.conj().T
+
+
+@PROPERTY
+@given(invertible_pairs(), st.floats(0.1, 0.9), complete_kets(), complete_kets())
+def test_measurements_on_two_states_join_into_one_on_their_mixture(pair, t, f1, f2):
+    # the concavity step's join: through the canonical purifications, the
+    # kets √w·(ρ^(-1/2))*·(√ρ_i)*·f, f a row of F_i, (w, ρ_i) = (t, ρ1) or
+    # (1 - t, ρ2), measure Eve's side of ρ = tρ1 + (1-t)ρ2 with outcome
+    # (i, f) at weight w times F_i's outcome f on ρ_i: the label lemma then
+    # gives the mixture of the two informations
+    rho1, rho2 = pair
+    rho = t * rho1 + (1 - t) * rho2
+    inv_root = _power(rho, -0.5)
+    joined = np.concatenate([
+        np.sqrt(w) * f @ (inv_root @ _power(r, 0.5)).conj().T
+        for w, r, f in ((t, rho1, f1), (1 - t, rho2, f2))
+    ])
+    m = Povm(dyads(joined))
+    validate_povm(m)
+    info1 = accessible_info(conditioned_ancilla_from_state(rho1), Povm(dyads(f1)))
+    info2 = accessible_info(conditioned_ancilla_from_state(rho2), Povm(dyads(f2)))
+    got = accessible_info(conditioned_ancilla_from_state(rho), m)
+    assert abs(got - (t * info1 + (1 - t) * info2)) <= 1e-12
