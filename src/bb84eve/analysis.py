@@ -25,8 +25,7 @@ from .povm import OptimizerConfig, _climb
 from .states import (
     _FREE_NAMES,
     AncillaEnsemble,
-    FamilyPoint,
-    bell_weights,
+    _bell_weights,
     conditioned_ancilla_from_state,
     general_state,
 )
@@ -37,6 +36,9 @@ _STEP_TOL = 4 * math.ulp(1.0)
 
 # The optimizer settings of every accepted nonsymmetric_search draw, bar the seed.
 SEARCH_OPTIMIZER = OptimizerConfig(restarts=4, max_iterations=300)
+
+# nonsymmetric_search counts the draws within this of the symmetric optimum.
+_NEAR_OPTIMUM_WINDOW = 1e-6
 
 
 def max_entropy_c22(epsilon: float) -> float:
@@ -54,7 +56,7 @@ def max_entropy_c22(epsilon: float) -> float:
     lo, hi = _c22_interval(epsilon)
     if hi <= lo:
         return lo
-    start, end = (bell_weights(FamilyPoint(epsilon, c)).tolist() for c in (lo, hi))
+    start, end = (_bell_weights(epsilon, c) for c in (lo, hi))
     slopes = [(e - s) / (hi - lo) for s, e in zip(start, end)]
     a, b = lo, hi  # s' > 0 at a, s' < 0 at b
     c = 0.5 * (a + b)
@@ -86,15 +88,16 @@ def max_entropy_c22(epsilon: float) -> float:
 class SearchReport:
     """Outcome of the random search over nonsymmetric states.
 
-    ``best_value`` is evidence, not proof: samples within 1e-6 of the
-    symmetric optimum are counted in ``near_optimum_count`` but no
-    conclusion is drawn from them.  It can also fall short of the best
-    sampled state's accessible information: each restart stops after
-    ``SEARCH_OPTIMIZER.max_iterations`` iterations, which many restarts
-    reach before they are stationary (124 of 364 at seed 42, 200 trials,
-    ε = 0.1, 0.25 and 0.4).  A draw's value is the best of its
-    restarts, whichever batch of at most ``config.MAX_RESTARTS`` restarts
-    they ran in; the batching changes no field.
+    ``best_value`` is evidence, not proof: samples within
+    ``_NEAR_OPTIMUM_WINDOW`` of the symmetric optimum are counted in
+    ``near_optimum_count`` but no conclusion is drawn from them.  It can
+    also fall short of the best sampled state's accessible information:
+    each restart stops after ``SEARCH_OPTIMIZER.max_iterations``
+    iterations, which many restarts reach before they are stationary (124
+    of 364 at seed 42, 200 trials, ε = 0.1, 0.25 and 0.4).  A draw's value
+    is the best of its restarts, whichever batch of at most
+    ``config.MAX_RESTARTS`` restarts they ran in; the batching changes no
+    field.
     """
 
     epsilon: float
@@ -169,7 +172,7 @@ def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:
             if info > best_value:
                 best_value = float(info)
                 best_parameters = tuple(float(v) for v in draw)
-            if abs(info - symmetric) <= 1e-6:
+            if abs(info - symmetric) <= _NEAR_OPTIMUM_WINDOW:
                 near_optimum += 1
 
     return SearchReport(

@@ -15,6 +15,9 @@ hsw         collective-readout bound along the max-entropy locus
 ==========  =====================================================
 
 The first three are c22 rules (``C22_RULES``); ``hsw`` has its own functional.
+Each public function checks its arguments, then calls its unchecked twin
+``_name``, which holds the formula; the curves, key rates and thresholds are
+composed from the twins, so each argument is checked once per public call.
 This module imports no numpy, so the ``thresholds`` and ``scan`` commands
 start without it; ``analysis.max_entropy_c22`` checks the maxent rule
 numerically.
@@ -44,6 +47,10 @@ def correlation_info(x: float) -> float:
     it keeps the relative error at roundoff as x -> 0.
     """
     require_in("x", x, 0, 1)
+    return _correlation_info(x)
+
+
+def _correlation_info(x: float) -> float:
     if x < 0.5:
         return (x * math.atanh(x) + 0.5 * math.log1p(-x * x)) / _LN2
     low = 0.0 if x == 1.0 else 0.5 * (1 - x) * math.log2(1 - x)
@@ -61,7 +68,11 @@ def binary_entropy(p: float) -> float:
 def mi_alice_bob(epsilon: float) -> float:
     """Mutual information per pair between Alice and Bob on the raw data."""
     require_in("epsilon", epsilon, 0, 1)
-    return 0.5 * correlation_info(1 - epsilon)
+    return _mi_alice_bob(epsilon)
+
+
+def _mi_alice_bob(epsilon: float) -> float:
+    return 0.5 * _correlation_info(1 - epsilon)
 
 
 def mi_eve_analytic(c22: float) -> float:
@@ -70,12 +81,20 @@ def mi_eve_analytic(c22: float) -> float:
     Even in c22, maximal (1/2 bit) at c22 = 0, zero at c22 = ±1.
     """
     require_in("c22", c22, -1, 1)
-    return 0.5 * correlation_info(math.sqrt((1 - c22) * (1 + c22)))
+    return _mi_eve_analytic(c22)
+
+
+def _mi_eve_analytic(c22: float) -> float:
+    return 0.5 * _correlation_info(math.sqrt((1 - c22) * (1 + c22)))
 
 
 def optimal_c22(epsilon: float) -> float:
     """The feasible c22 of smallest magnitude: -(1-2ε) for ε <= 1/2, else 0."""
     require_in("epsilon", epsilon, 0, 1)
+    return _optimal_c22(epsilon)
+
+
+def _optimal_c22(epsilon: float) -> float:
     return min(_c22_interval(epsilon)[1], 0.0)
 
 
@@ -88,13 +107,17 @@ def mi_eve_optimal(epsilon: float) -> float:
     require_in("epsilon", epsilon, 0, 1)
     if epsilon >= 0.5:
         return 0.5
-    return 0.5 * correlation_info(2 * math.sqrt(epsilon * (1 - epsilon)))
+    return 0.5 * _correlation_info(2 * math.sqrt(epsilon * (1 - epsilon)))
 
 
 def hsw_optimal(epsilon: float) -> float:
     """The collective-readout bound at the entropy-maximizing c22."""
     require_in("epsilon", epsilon, 0, 1)
-    return 1.0 - correlation_info(1 - epsilon)
+    return _hsw_optimal(epsilon)
+
+
+def _hsw_optimal(epsilon: float) -> float:
+    return 1.0 - _correlation_info(1 - epsilon)
 
 
 def _c22_interval(epsilon: float) -> tuple[float, float]:
@@ -103,30 +126,46 @@ def _c22_interval(epsilon: float) -> tuple[float, float]:
     return -1.0, 2 * epsilon - 1
 
 
+# The rules take ε in [0, 1/2] unchecked: each caller checks it once.
 C22_RULES: dict[str, Callable[[float], float]] = {
     "honest": lambda epsilon: -(1 - epsilon),
     "maxent": lambda epsilon: -((1 - epsilon) ** 2),
-    "minconc": optimal_c22,
+    "minconc": _optimal_c22,
 }
 CURVES = (*C22_RULES, "hsw")
 
 
-def eve_curve(curve: str, epsilon: float) -> float:
-    """Eve's information along a named curve, for ε in the plot range [0, 1/2]."""
+def _require_curve(curve: str) -> None:
     if curve not in CURVES:
         raise ValueError(f"unknown curve {curve!r}; expected one of {sorted(CURVES)}")
+
+
+def eve_curve(curve: str, epsilon: float) -> float:
+    """Eve's information along a named curve, for ε in the plot range [0, 1/2]."""
+    _require_curve(curve)
     require_in("epsilon", epsilon, 0, 0.5)
+    return _eve_curve(curve, epsilon)
+
+
+def _eve_curve(curve: str, epsilon: float) -> float:
     if curve == "hsw":
-        return hsw_optimal(epsilon)
-    return mi_eve_analytic(C22_RULES[curve](epsilon))
+        return _hsw_optimal(epsilon)
+    return _mi_eve_analytic(C22_RULES[curve](epsilon))
 
 
 def key_rate(epsilon: float, curve: str) -> float:
-    """Distillable key rate I_AB - I_AE along a named curve; may be negative.
+    """Distillable key rate I_AB - I_AE along a named curve, for ε in
+    [0, 1/2]; may be negative.
 
     The sign change of this quantity locates the security threshold.
     """
-    return mi_alice_bob(epsilon) - eve_curve(curve, epsilon)
+    _require_curve(curve)
+    require_in("epsilon", epsilon, 0, 0.5)
+    return _key_rate(epsilon, curve)
+
+
+def _key_rate(epsilon: float, curve: str) -> float:
+    return _mi_alice_bob(epsilon) - _eve_curve(curve, epsilon)
 
 
 class ThresholdResult(namedtuple(
@@ -185,9 +224,14 @@ def bisect_sign_change(
 
 def find_threshold(curve: str) -> ThresholdResult:
     """Noise value where Alice-Bob information crosses Eve's curve, bisected
-    on [0, 1/2] to the last float."""
+    on [0, 1/2] to the last float.
+
+    ``curve`` is checked once; the bisection evaluates ``key_rate``'s
+    unchecked twin, since every point it tries lies in [0, 1/2].
+    """
+    _require_curve(curve)
     root, residual, iterations, converged, width = bisect_sign_change(
-        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5
+        lambda epsilon: _key_rate(epsilon, curve), 0.0, 0.5
     )
     return ThresholdResult(curve, root, residual, iterations, converged, width)
 
@@ -196,9 +240,10 @@ def scan_curves(grid) -> list[tuple[float, ...]]:
     """Evaluate all five information curves on an ε grid within [0, 1/2].
 
     Each row is (ε, I_AB, then Eve's information on each ``CURVES`` entry in
-    order: honest, maxent, minconc, hsw).
+    order: honest, maxent, minconc, hsw).  Each ε is checked once.
     """
-    return [
-        (e, mi_alice_bob(e), *(eve_curve(curve, e) for curve in CURVES))
-        for e in map(float, grid)
-    ]
+    rows = []
+    for e in map(float, grid):
+        require_in("epsilon", e, 0, 0.5)
+        rows.append((e, _mi_alice_bob(e), *(_eve_curve(curve, e) for curve in CURVES)))
+    return rows

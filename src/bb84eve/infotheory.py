@@ -31,6 +31,12 @@ def mutual_information(table: np.ndarray) -> float:
         raise DimensionMismatch(f"shape {p.shape} is not a 2-D table")
     if np.any(p < 0):
         raise NotNormalized(f"negative entry {p.min():.3e}")
+    return _mutual_information(p)
+
+
+def _mutual_information(p: np.ndarray) -> float:
+    """``mutual_information`` of a real 2-D float table with no negative
+    entry; only its sum is checked."""
     total = p.sum()
     if not abs(total - 1.0) <= NORMALIZATION_SLACK:  # NaN fails too
         raise NotNormalized(f"entries sum to {float(total)}, not 1")

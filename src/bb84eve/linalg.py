@@ -97,11 +97,11 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 
 def square_stack(m) -> np.ndarray:
-    """``m`` as a complex stack (n, d, d) of n >= 1 square matrices; raises
-    like ``require_finite`` on a non-finite entry."""
+    """``m`` as a complex stack (n, d, d) of n >= 1 square matrices with
+    d >= 1; raises like ``require_finite`` on a non-finite entry."""
     m = require_finite(m, complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or not len(m):
-        raise DimensionMismatch(f"shape {m.shape} is not a stack (n, d, d), n >= 1")
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or not m.size:
+        raise DimensionMismatch(f"shape {m.shape} is not a stack (n, d, d), n, d >= 1")
     return m
 
 
@@ -129,6 +129,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
         require_int("keep", keep, 0, 1)
     except OutOfRange as exc:
         raise DimensionMismatch(f"dims={dims!r}, keep={keep!r}: {exc}") from None
+    da, db = int(da), int(db)  # a numpy-integer product could overflow
     if m.ndim != 2 or m.shape != (da * db, da * db):
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not factor as {da}x{db}"

@@ -26,12 +26,14 @@ import numpy as np
 from . import config
 from .config import require_in, require_int
 from .errors import DimensionMismatch
-from .infotheory import mutual_information
+from .infotheory import _mutual_information
 from .linalg import _hermitian_part, dyads, require_finite, require_psd, square_stack
-from .states import NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint, bell_weights
+from .states import NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint, _bell_weights
 
 # A restart stops once its tangent gradient's norm falls to this.
 STATIONARY_TOL = 1e-5
+# A trial step t is kept if it gains at least this fraction of t·⟨ξ, η⟩ (Armijo).
+_ARMIJO_FRACTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def analytic_povm(point: FamilyPoint) -> Povm:
     (ε, c22) = (1, 1), every ket vanishes, and the measurement is the
     projectors onto the surviving axes 1 and 3.
     """
-    w = bell_weights(point).tolist()
+    w = _bell_weights(point.epsilon, point.c22)
     alive = [x > 0.0 for x in w]
     one_minus = 1.0 - point.c22
     h3 = 0.5 if alive[2] else 0.0  # w0 vanishes only at the corner, replaced below
@@ -132,13 +134,19 @@ def analytic_povm(point: FamilyPoint) -> Povm:
 
 
 def accessible_info(ensemble: AncillaEnsemble, m: Povm) -> float:
-    """Mutual information between the uniform ensemble label and the outcome of ``m``."""
+    """Mutual information between the uniform ensemble label and the outcome of ``m``.
+
+    Raises ``DimensionMismatch`` unless ``m`` acts on the states' space, and
+    ``NotNormalized`` unless the outcome table sums to 1 within
+    ``NORMALIZATION_SLACK``, as it does for a complete ``m``.  The table is
+    real, 2-D and nonnegative by construction, so nothing else is checked.
+    """
     n, d, _ = ensemble.states.shape
     if m.dim != d:
         raise DimensionMismatch(f"POVM dimension {m.dim} != state dimension {d}")
     # tr(S_a·E_k) = Σ_ij S_a[i, j]·E_k[j, i]: S_a row by row against E_k column by column
     cond = ensemble.states.reshape(n, d * d) @ m.elements.transpose(2, 1, 0).reshape(d * d, -1)
-    return mutual_information(np.maximum(cond.real, 0.0) / n)
+    return _mutual_information(np.maximum(cond.real, 0.0) / n)
 
 
 def conjugate_povm(m: Povm) -> Povm:
@@ -312,20 +320,21 @@ def _conjugate_gradient(
     """Batched Riemannian conjugate-gradient ascent on complete ket sets.
 
     Each iteration tries one step t along the direction η of every live
-    entry and keeps it if it gains at least 1e-4·t·⟨ξ, η⟩ (Armijo), ξ the
-    tangent gradient.  The next t is the peak of the quadratic fitted to
-    the trial, clipped to [1.2t, 3t] after a kept one and to [0.1t, 0.5t]
-    after a rejected one (``_next_step``).  Only the kept trials get a new
-    gradient and direction, written over their entries' old ones: ξ' +
-    β·(old η projected onto the new tangent space), with the hybrid
-    Hestenes–Stiefel/Dai–Yuan β, falling back to ξ' unless it ascends
-    (``_direction``); a rejected entry keeps its point, ξ and η.  The first
-    direction is ξ itself: ``_direction`` with zero old η and ξ, so β = 0.
-    An iteration whose trials are all kept updates the batch through a
-    basic slice, with no index copies.  An entry leaves the batch once
-    ‖ξ‖ <= ``STATIONARY_TOL`` or after ``max_iterations``, and its states
-    leave with it.  ``states`` holds each entry's own (A, d, d) stack,
-    (R, A, d, d) in all.  The ``kets`` array passed in may be overwritten.
+    entry and keeps it if it gains at least ``_ARMIJO_FRACTION``·t·⟨ξ, η⟩
+    (Armijo), ξ the tangent gradient.  The next t is the peak of the
+    quadratic fitted to the trial, clipped to [1.2t, 3t] after a kept one
+    and to [0.1t, 0.5t] after a rejected one (``_next_step``).  Only the
+    kept trials get a new gradient and direction, written over their
+    entries' old ones: ξ' + β·(old η projected onto the new tangent
+    space), with the hybrid Hestenes–Stiefel/Dai–Yuan β, falling back to
+    ξ' unless it ascends (``_direction``); a rejected entry keeps its
+    point, ξ and η.  The first direction is ξ itself: ``_direction`` with
+    zero old η and ξ, so β = 0.  An iteration whose trials are all kept
+    updates the batch through a basic slice, with no index copies.  An
+    entry leaves the batch once ‖ξ‖ <= ``STATIONARY_TOL`` or after
+    ``max_iterations``, and its states leave with it.  ``states`` holds
+    each entry's own (A, d, d) stack, (R, A, d, d) in all.  The ``kets``
+    array passed in may be overwritten.
     Returns the final kets, values, iterations and ‖ξ‖ per entry.
     """
     r, a, d, _ = states.shape
@@ -360,7 +369,7 @@ def _conjugate_gradient(
 
         trial = _retract(kets + step[:, None, None] * direction)
         trial_values, ratios, sk = _batch_info_and_ratios(trial, states_cols)
-        ok = trial_values >= values + 1e-4 * step * slope
+        ok = trial_values >= values + _ARMIJO_FRACTION * step * slope
         step = _next_step(step, slope, values + 2 * step * slope - trial_values, ok)
         at = ok.nonzero()[0]  # the kept entries
         if at.size == ok.size:

@@ -69,16 +69,19 @@ class AncillaEnsemble:
     Every state has weight 1/n.  Construction checks that each is a density
     operator: finite entries (else ``ValueError``), Hermitian
     (``NotHermitian``), positive (``NotPositive``) and of unit trace within
-    ``NORMALIZATION_SLACK`` (``NotNormalized``).  ``states`` is a read-only
-    copy of the input, so it cannot change after the checks.
+    ``NORMALIZATION_SLACK`` (``NotNormalized``), the traces read off the
+    spectrum of the positivity check.  ``states`` is a read-only copy of the
+    input, so it cannot change after the checks, and code that takes an
+    ensemble checks none of this again.
     """
 
     states: np.ndarray
 
     def __post_init__(self):
         states = square_stack(self.states).copy()
-        require_psd(np.linalg.eigvalsh(_hermitian_part(states)))
-        traces = np.einsum("kii->k", states).real
+        spectra = np.linalg.eigvalsh(_hermitian_part(states))
+        require_psd(spectra)
+        traces = spectra.sum(axis=1)
         if np.abs(traces - 1).max() > NORMALIZATION_SLACK:
             raise NotNormalized(f"state traces {traces.tolist()} are not all 1")
         states.flags.writeable = False
@@ -117,9 +120,13 @@ def bell_weights(point: FamilyPoint) -> np.ndarray:
     they are the squared norms of Eve's four ancilla kets.  One at most
     ``EIGENVALUE_CUTOFF`` is exactly 0.0, so a live weight is one > 0.0.
     """
-    e, c = point.epsilon, point.c22
+    return np.array(_bell_weights(point.epsilon, point.c22))
+
+
+def _bell_weights(e: float, c: float) -> list[float]:
+    """``bell_weights`` at a feasible (ε, c22), as Python floats."""
     w = ((3 - 2 * e - c) / 4, (1 + c) / 4, (-1 + 2 * e - c) / 4, (1 + c) / 4)
-    return np.array([x if x > EIGENVALUE_CUTOFF else 0.0 for x in w])
+    return [x if x > EIGENVALUE_CUTOFF else 0.0 for x in w]
 
 
 def unbiased_noise_state(epsilon: float) -> np.ndarray:

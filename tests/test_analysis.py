@@ -11,6 +11,7 @@ from bb84eve import (
     bell_diagonal_state,
     eve_curve,
     find_threshold,
+    key_rate,
     max_entropy_c22,
     mi_alice_bob,
     mi_eve_optimal,
@@ -18,7 +19,7 @@ from bb84eve import (
     scan_curves,
     von_neumann_entropy,
 )
-from bb84eve import analysis, config, linalg, povm, states
+from bb84eve import analysis, config, curves, linalg, povm, states
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, NotPositive, OutOfRange
 
@@ -117,6 +118,28 @@ def test_find_threshold_deterministic_and_validated():
     assert find_threshold("honest") == find_threshold("honest")
     with pytest.raises(ValueError, match="unknown curve"):
         find_threshold("nope")
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_find_threshold_is_the_bisection_of_key_rate(curve):
+    # the public composition is the reference for the unchecked one
+    root = bisect_sign_change(lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5)
+    assert find_threshold(curve) == (curve, *root)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_find_threshold_checks_once_per_root(monkeypatch, curve):
+    # only the bracket's two ends pass through require_in, not each ε the
+    # bisection tries
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        config.require_in(*args)
+
+    monkeypatch.setattr(curves, "require_in", counting)
+    assert find_threshold(curve).iterations > 50
+    assert calls == ["lo", "hi"]
 
 
 def test_bisect_requires_sign_change():

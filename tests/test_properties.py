@@ -365,6 +365,13 @@ MALFORMED_SHAPE_CALLS = {
         )
         for keep in (True, 1.0)
     },
+    # the product of two numpy integers wraps to 0 in int64
+    "partial_trace dims overflow": (
+        lambda rho: np.zeros((0, 0)),
+        lambda m: partial_trace(m, (np.int64(2**32), np.int64(2**32)), keep=0),
+    ),
+    "Povm 0x0": (lambda rho: np.zeros((1, 0, 0)), Povm),
+    "AncillaEnsemble 0x0": (lambda rho: np.zeros((1, 0, 0)), AncillaEnsemble),
 }
 
 
@@ -407,6 +414,12 @@ BAD_VALUE_CALLS = {
         )
         for imag in (0j, 1e-3j)
     },
+    # elements I/8: every outcome probability is 1/32, and the table sums to 1/2
+    "accessible_info incomplete": (
+        lambda rho: AncillaEnsemble(np.stack([rho] * 4)),
+        lambda ensemble: accessible_info(ensemble, Povm(np.stack([np.eye(4) / 8] * 4))),
+        NotNormalized,
+    ),
     **{
         f"mutual_information {imag!r}": (
             lambda rho, imag=imag: joint_table(rho) + imag,
@@ -449,6 +462,14 @@ TOLERANCE_EDGES = {
     ),
     "NORMALIZATION_SLACK mutual_information": (
         1e-9, lambda rho, t: (1 + t) * joint_table(rho), mutual_information, NotNormalized
+    ),
+    "NORMALIZATION_SLACK accessible_info": (
+        1e-9,
+        lambda rho, t: (
+            AncillaEnsemble(np.stack([rho] * 4)), Povm(np.stack([(1 + t) * np.eye(4) / 4] * 4))
+        ),
+        lambda args: accessible_info(*args),
+        NotNormalized,
     ),
     "NORMALIZATION_SLACK validate_povm": (
         1e-9,
