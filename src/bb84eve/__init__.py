@@ -47,7 +47,6 @@ _NAMES = {
         "Povm",
         "accessible_info",
         "analytic_povm",
-        "canonical_optimal_povm",
         "conjugate_povm",
         "convex_combine",
         "optimize_povm",

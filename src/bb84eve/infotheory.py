@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized
-from .linalg import sqrt_psd, von_neumann_entropy
+from .linalg import MAX_ENTRY, sqrt_psd, von_neumann_entropy
 from .states import _SIGMA_YY, NORMALIZATION_SLACK, AncillaEnsemble, FamilyPoint
 from .states import two_qubit_operator
 
@@ -20,18 +20,19 @@ def mutual_information(table: np.ndarray) -> float:
     """Shannon mutual information of a joint probability table, in bits.
 
     Zero entries contribute zero, as do entries whose marginal product
-    underflows to 0.  Raises ``DimensionMismatch`` unless the table is 2-D,
-    and ``NotNormalized`` for a complex array or unless all entries are
-    nonnegative and sum to 1 within ``NORMALIZATION_SLACK``.
+    underflows to 0.  Raises ``NotNormalized`` for an array of complex
+    numbers, text, bytes or objects, ``DimensionMismatch`` unless the table
+    is 2-D, and ``NotNormalized`` unless all entries lie in [0,
+    ``linalg.MAX_ENTRY``] and sum to 1 within ``NORMALIZATION_SLACK``.
     """
-    if np.iscomplexobj(table):
-        raise NotNormalized("table must be a real array, not a complex one")
-    p = np.asarray(table, dtype=float)
+    p = np.asarray(table)
+    if p.dtype.kind not in "biuf":
+        raise NotNormalized(f"table must be an array of real numbers, not of dtype {p.dtype}")
     if p.ndim != 2:
         raise DimensionMismatch(f"shape {p.shape} is not a 2-D table")
-    if np.any(p < 0):
-        raise NotNormalized(f"negative entry {p.min():.3e}")
-    return _mutual_information(p)
+    if np.any((p < 0) | (p > MAX_ENTRY)):  # before the cast, which a huge longdouble overflows
+        raise NotNormalized(f"entries from {p.min():.3e} to {p.max():.3e} are not probabilities")
+    return _mutual_information(p.astype(float, copy=False))
 
 
 def _mutual_information(p: np.ndarray) -> float:

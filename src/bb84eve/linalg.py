@@ -18,6 +18,10 @@ HERMITICITY_TOL = 1e-10
 # The package's one roundoff zero: an eigenvalue or Bell weight within this of
 # 0 is exactly 0, and one below its negative is not positive.
 EIGENVALUE_CUTOFF = 1e-14
+# The largest magnitude a matrix entry may have: a product of two entries
+# stays below 1e300, so no sum, square or eigensolve of one overflows to inf
+# or NaN.  A numpy float, so a float16 array is compared with it in float64.
+MAX_ENTRY = np.float64(1e150)
 
 PAULI = np.array(  # σ_0 = I, σ_x, σ_y, σ_z
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -33,11 +37,12 @@ class Spectrum(NamedTuple):
 
 
 def require_finite(m, dtype=None) -> np.ndarray:
-    """``m`` as an array of ``dtype``; raises ``ValueError`` on a NaN or
-    infinite entry, and on an array of text, bytes or objects."""
+    """``m`` as an array of ``dtype``; raises ``ValueError`` unless every
+    entry is a number of magnitude at most ``MAX_ENTRY``: on NaN, an
+    infinity, a larger entry, and an array of text, bytes or objects."""
     m = np.asarray(m)
-    if m.dtype.kind not in "biufc" or not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite numbers")
+    if m.dtype.kind not in "biufc" or not np.abs(m).max(initial=0.0) <= MAX_ENTRY:
+        raise ValueError(f"matrix entries must be finite numbers of magnitude <= {MAX_ENTRY:g}")
     return m if dtype is None else m.astype(dtype, copy=False)
 
 
@@ -47,9 +52,9 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     ``NotHermitian``); any other shape raises ``DimensionMismatch``.
 
     ``m`` is a complex array that has passed ``require_finite``.  Each caller
-    runs that check once, before any shape test, so a non-finite entry
-    raises ``ValueError`` whatever the shape, and no infinite entry reaches
-    the defect's subtraction, where inf - inf would warn.
+    runs that check once, before any shape test, so a bad entry raises
+    ``ValueError`` whatever the shape, and no entry above ``MAX_ENTRY``
+    reaches the subtraction or the sum below, where it could overflow.
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not m.size:
         raise DimensionMismatch(f"shape {m.shape} is not a square matrix or a stack")
@@ -78,9 +83,10 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
-    """Raise ``NotPositive`` if an eigenvalue is below -``EIGENVALUE_CUTOFF``."""
+    """Raise ``NotPositive`` if an eigenvalue is below -``EIGENVALUE_CUTOFF``
+    or is NaN."""
     smallest = eigenvalues.min()
-    if smallest < -EIGENVALUE_CUTOFF:
+    if not smallest >= -EIGENVALUE_CUTOFF:
         raise NotPositive(
             f"not positive semidefinite: smallest eigenvalue {smallest:.6e}",
             min_eigenvalue=float(smallest),
@@ -98,7 +104,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 def square_stack(m) -> np.ndarray:
     """``m`` as a complex stack (n, d, d) of n >= 1 square matrices with
-    d >= 1; raises like ``require_finite`` on a non-finite entry."""
+    d >= 1; raises like ``require_finite`` on an entry it refuses."""
     m = require_finite(m, complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or not m.size:
         raise DimensionMismatch(f"shape {m.shape} is not a stack (n, d, d), n, d >= 1")
@@ -116,7 +122,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     ``dims`` is (dim_A, dim_B), two integers >= 1, else ``DimensionMismatch``;
     ``keep`` selects the surviving factor, the integer 0 for the first, 1 for
     the second, else ``DimensionMismatch``.
-    Raises ``ValueError`` on a non-finite entry.
+    Raises ``ValueError`` on an entry that ``require_finite`` refuses.
     """
     m = require_finite(m)
     try:

@@ -89,7 +89,7 @@ def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
     ``support`` defaults to the full identity; pass the (dim, dim) projector
     onto a subspace for measurements defined only there.  A non-Hermitian
     element raises ``NotHermitian``, a negative one ``NotPositive``, a support
-    of text or non-finite entries ``ValueError``, one of another shape
+    that ``require_finite`` refuses ``ValueError``, one of another shape
     ``DimensionMismatch``, and an incomplete set ``ValueError``.
     """
     require_psd(np.linalg.eigvalsh(_hermitian_part(povm.elements)))
@@ -160,16 +160,6 @@ def convex_combine(m1: Povm, m2: Povm, weight: float) -> Povm:
     if m1.elements.shape != m2.elements.shape:
         raise DimensionMismatch("POVMs must share outcome count and dimension")
     return Povm(weight * m1.elements + (1 - weight) * m2.elements)
-
-
-def canonical_optimal_povm(point: FamilyPoint) -> Povm:
-    """Equal-weight mix of the analytic measurement and its conjugate.
-
-    All optima along that segment give the same information; the midpoint
-    has real elements and is the reproducible representative.
-    """
-    m = analytic_povm(point)
-    return convex_combine(m, conjugate_povm(m), 0.5)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class AncillaEnsemble:
     """Eve's ancilla states, one per ``OUTCOMES`` entry, as one (n, d, d) stack.
 
     Every state has weight 1/n.  Construction checks that each is a density
-    operator: finite entries (else ``ValueError``), Hermitian
+    operator: entries that pass ``require_finite`` (else ``ValueError``), Hermitian
     (``NotHermitian``), positive (``NotPositive``) and of unit trace within
     ``NORMALIZATION_SLACK`` (``NotNormalized``), the traces read off the
     spectrum of the positivity check.  ``states`` is a read-only copy of the

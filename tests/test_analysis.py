@@ -9,6 +9,7 @@ from bb84eve import (
     CURVES,
     FamilyPoint,
     bell_diagonal_state,
+    binary_entropy,
     eve_curve,
     find_threshold,
     key_rate,
@@ -112,6 +113,15 @@ def test_threshold_brackets_the_algebraic_root(curve, exact):
 def test_threshold_ordering():
     stars = {c: find_threshold(c).epsilon_star for c in CURVES}
     assert stars["hsw"] < stars["minconc"] < stars["maxent"] < stars["honest"]
+
+
+def test_both_thresholds_lie_below_the_bb84_unconditional_one():
+    # The abstract's third claim.  One-way BB84 is secure below the QBER Q
+    # with 1 - 2h(Q) = 0 (Shor and Preskill, PRL 85, 441, 2000).
+    q, *_ = bisect_sign_change(lambda q: 1 - 2 * binary_entropy(q), 0.0, 0.5)
+    assert abs(q - 0.11002786443835955) <= 2 * math.ulp(q)
+    # the raw-data QBER, 0.1, and the key's, 0.0615
+    assert find_threshold("hsw").qber < find_threshold("minconc").qber < q
 
 
 def test_find_threshold_deterministic_and_validated():

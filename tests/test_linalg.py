@@ -1,20 +1,17 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
 
-from bb84eve import (
-    FamilyPoint,
-    bell_basis,
-    bell_diagonal_state,
-    eig_hermitian,
-    partial_trace,
-    purification,
-    von_neumann_entropy,
-)
-from bb84eve.errors import DimensionMismatch, NotHermitian, NotPositive
-from bb84eve.infotheory import concurrence
-from bb84eve.linalg import sqrt_psd
-from bb84eve.povm import Povm, validate_povm
-from bb84eve.states import AncillaEnsemble, joint_table, pauli_coefficients
+from bb84eve import FamilyPoint, bell_basis, bell_diagonal_state, purification
+from bb84eve.errors import DimensionMismatch, NotHermitian, NotNormalized, NotPositive, OutOfRange
+from bb84eve.infotheory import concurrence, mutual_information
+from bb84eve.linalg import MAX_ENTRY, PAULI, eig_hermitian, partial_trace, require_finite
+from bb84eve.linalg import require_psd, sqrt_psd, von_neumann_entropy
+from bb84eve.povm import Povm, accessible_info, validate_povm
+from bb84eve.states import AncillaEnsemble, conditioned_ancilla_from_state, general_state
+from bb84eve.states import joint_table, pauli_coefficients, state_from_pauli, two_qubit_operator
 from conftest import random_density, random_unitary
 
 
@@ -32,17 +29,6 @@ def test_eig_singlet_projector_rank_one():
     singlet = bell_basis()[0]
     spec = eig_hermitian(np.outer(singlet, singlet.conj()))
     assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
-
-
-def test_eig_rejects_non_hermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(NotHermitian):
-        eig_hermitian(m)
-
-
-def test_eig_rejects_non_finite_entries():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[np.nan, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16])
@@ -94,13 +80,6 @@ def test_partial_trace_preserves_trace_and_is_linear(rng):
             assert np.max(np.abs(ta - ta.conj().T)) < 1e-12
 
 
-def test_partial_trace_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        partial_trace(np.eye(6), (2, 2), keep=0)
-    with pytest.raises(DimensionMismatch):
-        partial_trace(np.eye(4), (2, 2), keep=2)
-
-
 def test_entropy_pure_state():
     singlet = bell_basis()[0]
     assert abs(von_neumann_entropy(np.outer(singlet, singlet.conj()))) <= 1e-12
@@ -144,6 +123,12 @@ def test_sqrt_psd_rejects_negative_eigenvalue():
         sqrt_psd(np.diag([1.0, -1e-11]))
 
 
+def test_require_psd_rejects_nan():
+    # NaN < -EIGENVALUE_CUTOFF is false, so only a test of the good side catches it
+    with pytest.raises(NotPositive):
+        require_psd(np.array([np.nan, 1.0]))
+
+
 def test_bell_basis_orthonormal():
     kets = bell_basis()
     assert np.allclose(kets @ kets.conj().T, np.eye(4), atol=1e-15)
@@ -158,69 +143,236 @@ def test_bell_basis_explicit_kets():
     assert np.allclose(kets[3], [s, 0, 0, -s])
 
 
-# Every public consumer of the matrix checks, each fed one matrix; the stack
-# consumers get it as a stack of one.
-MATRIX_CONSUMERS = {
-    "von_neumann_entropy": von_neumann_entropy,
-    "eig_hermitian": eig_hermitian,
-    "sqrt_psd": sqrt_psd,
-    "partial_trace": lambda m: partial_trace(m, (2, 2), 0),
-    "pauli_coefficients": pauli_coefficients,
-    "joint_table": joint_table,
-    "concurrence": concurrence,
-    "AncillaEnsemble": lambda m: AncillaEnsemble(np.asarray(m)[None]),
-    "validate_povm": lambda m: validate_povm(Povm(np.asarray(m)[None])),
+_RHO = random_density(np.random.default_rng(31), 4)  # no entry is 0
+_MEASUREMENT = np.stack((_RHO, np.eye(4) - _RHO))
+
+# Every public entry point that takes an array, with a valid array for it.
+ENTRY_POINTS = {
+    "require_finite": (_RHO, lambda m: require_finite(m, complex)),
+    "eig_hermitian": (_RHO, eig_hermitian),
+    "sqrt_psd": (_RHO, sqrt_psd),
+    "von_neumann_entropy": (_RHO, von_neumann_entropy),
+    "partial_trace": (_RHO, lambda m: partial_trace(m, (2, 2), 0)),
+    "two_qubit_operator": (_RHO, two_qubit_operator),
+    "pauli_coefficients": (_RHO, pauli_coefficients),
+    "joint_table": (_RHO, joint_table),
+    "concurrence": (_RHO, concurrence),
+    "conditioned_ancilla_from_state": (  # Alice's marginals must be uniform
+        general_state(0.3, 0.05, -0.05, 0.1, 0.05, -0.6, 0.05, -0.05),
+        conditioned_ancilla_from_state,
+    ),
+    "state_from_pauli": (pauli_coefficients(_RHO), state_from_pauli),
+    "mutual_information": (joint_table(_RHO), mutual_information),
+    "AncillaEnsemble": (np.stack([_RHO] * 4), AncillaEnsemble),
+    "Povm": (_MEASUREMENT, Povm),
+    "validate_povm": (_MEASUREMENT, lambda m: validate_povm(Povm(m))),
+    "validate_povm support": (np.eye(4), lambda s: validate_povm(Povm(np.eye(4)[None]), s)),
+    "accessible_info": (
+        np.stack([np.eye(4) / 4] * 4),
+        lambda m: accessible_info(AncillaEnsemble(np.stack([_RHO] * 4)), Povm(m)),
+    ),
+}
+
+# partial_trace with a dims or keep that is not its integers.  It checks the
+# entries first, so it raises what partial_trace raises on the same matrix,
+# and DimensionMismatch where partial_trace returns.
+BAD_ARGUMENTS = {
+    **{
+        f"partial_trace dims {dims!r}": lambda m, dims=dims: partial_trace(m, dims, 0)
+        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None, np.array(5))
+    },
+    # the product of two numpy integers wraps to 0 in int64
+    "partial_trace dims overflow": lambda m: partial_trace(m, (np.int64(2**32),) * 2, 0),
+    **{
+        f"partial_trace keep {keep!r}": lambda m, keep=keep: partial_trace(m, (2, 2), keep)
+        for keep in (True, 1.0, 2)
+    },
 }
 
 
-def _mixed_with(*entries):
-    """I/4 with each (row, column, value) entry added."""
-    m = np.eye(4, dtype=complex) / 4
-    for i, j, value in entries:
-        m[i, j] += value
+def _set(v, value, where=(0, 1)):
+    """``v`` with the entry ``where`` of each matrix set to ``value``."""
+    m = v.astype(np.result_type(v, value))
+    m[(..., *where)] = value
     return m
 
 
-def _bad_matrices():
-    """(name, matrix, the type every consumer raises, {consumer: other type})."""
-    for v in (np.nan, np.inf, -np.inf):
-        for part, unit in (("real", 1), ("imag", 1j)):
-            for place, i, j in (("diagonal", 0, 0), ("off-diagonal", 0, 1)):
-                yield f"{v} {part} {place}", _mixed_with((i, j, v * unit)), ValueError, {}
-        yield f"{v} Hermitian pair", _mixed_with((0, 1, v), (1, 0, v)), ValueError, {}
-    non_square = np.zeros((4, 3), dtype=complex)
-    yield "non-square", non_square, DimensionMismatch, {}
-    non_square = non_square.copy()
-    non_square[0, 0] = np.nan
-    yield "non-square, a NaN", non_square, ValueError, {}  # the entry wins
-    yield "1-D", np.full(4, 0.25), DimensionMismatch, {}
-    yield "1-D, a NaN", np.array([np.nan, 0.25, 0.25, 0.25]), ValueError, {}
-    yield "empty", np.zeros((0, 0)), DimensionMismatch, {}
-    yield "empty stack", np.zeros((0, 4, 4)), DimensionMismatch, {}
-    # partial_trace takes any square operator and raises nothing
-    yield "non-Hermitian off-diagonal", _mixed_with((0, 1, 0.1)), NotHermitian, {
-        "partial_trace": None
-    }
-    yield "non-Hermitian diagonal", _mixed_with((0, 0, 0.1j)), NotHermitian, {
-        "partial_trace": None
-    }
-    yield "non-Hermitian, a NaN", _mixed_with((0, 1, 0.1), (2, 2, np.nan)), ValueError, {}
-    for entry in ("x", None, b"x"):  # no entry is a number
-        yield f"{type(entry).__name__} entries", np.full((4, 4), entry), ValueError, {}
+def _at_every_entry(value):
+    """The inputs ``v`` with one entry set to ``value``, one for each entry."""
+    def inputs(v):
+        for i in range(v.size):
+            m = v.astype(np.result_type(v, value))
+            m.flat[i] = value
+            yield m
+    return inputs
 
 
-@pytest.mark.parametrize("consumer", MATRIX_CONSUMERS)
-def test_matrix_checks_raise_their_error_type(consumer):
-    """Each bad matrix raises exactly its type, not merely a ValueError:
-    a non-finite entry wins over a bad shape and over a Hermiticity defect."""
+def _matrix(v):
+    with warnings.catch_warnings():  # numpy asks for a plain ndarray instead
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.asmatrix(v.reshape(-1, v.shape[-1]))
+
+
+def _skewed(v):
+    """``v`` with 0.1 added above the diagonal of each matrix: not Hermitian."""
+    return v + 0.1 * np.eye(*v.shape[-2:], k=1)
+
+
+# Outcomes besides an exact error type: values that are all finite; or those,
+# a plain ValueError or a bb84eve.errors type, but not numpy's LinAlgError.
+FINITE, TYPED = "finite", "typed"
+
+# Entry points whose outcome differs from the rest, by what they check: a
+# table's entries and sum; entries only; no Hermiticity defect; stacks taken
+# too; square matrices of any size taken.
+_TABLE = {"mutual_information": NotNormalized}
+_ENTRIES = {"require_finite": FINITE}
+_NO_HERMITICITY = dict.fromkeys(
+    ("require_finite", "partial_trace", "two_qubit_operator", "Povm"), FINITE
+)
+_STACKS = {**_ENTRIES, "von_neumann_entropy": FINITE}
+_ANY_SIZE = {**_STACKS, "eig_hermitian": FINITE, "sqrt_psd": FINITE}
+_SCALED = {  # a state or measurement times 2 or 1/2, so not of unit trace or complete
+    **_TABLE, "joint_table": NotNormalized, "AncillaEnsemble": NotNormalized,
+    "conditioned_ancilla_from_state": OutOfRange, "validate_povm": ValueError,
+    "validate_povm support": ValueError, "accessible_info": NotNormalized,
+}
+_IMAGINARY_DIAGONAL = {
+    **_NO_HERMITICITY, **_TABLE, "state_from_pauli": NotHermitian,
+    "validate_povm support": ValueError, "accessible_info": FINITE,
+}
+
+# Each kind of input: how to make it from an entry point's valid array (one
+# input, or a generator of them), the outcome every entry point gives, and
+# the entry points that give another.  Every entry point raises on an entry
+# above MAX_ENTRY; the other dtypes and shapes at the end assert only TYPED.
+KINDS = {
+    "as given": (lambda v: v, FINITE, {}),
+    **{
+        f"{value} {part} at every entry": (
+            _at_every_entry(as_part(value)),
+            ValueError,
+            {**_TABLE, "state_from_pauli": NotHermitian} if part == "imag" else _TABLE,
+        )
+        for value in (np.nan, np.inf, -np.inf, 1e308)
+        for part, as_part in (("real", float), ("imag", lambda x: complex(0, x)))
+    },
+    **{
+        f"{value} Hermitian pair": (
+            lambda v, value=value: _set(_set(v, value), value, (1, 0)), ValueError, _TABLE
+        )
+        for value in (np.nan, np.inf, -np.inf, 1e308)
+    },
+    "scaled by 1e308": (lambda v: 1e308 * v, ValueError, _TABLE),
+    "non-square": (lambda v: v[..., :3, :], DimensionMismatch, {**_ENTRIES, **_TABLE}),
+    "non-square, a NaN": (lambda v: _set(v[..., :3, :], np.nan, (0, 0)), ValueError, _TABLE),
+    "1-D": (np.ravel, DimensionMismatch, _ENTRIES),
+    # a table's shape is checked before its sum, where NaN fails
+    "1-D, a NaN": (
+        lambda v: _set(v, np.nan, (0, 0)).ravel(),
+        ValueError,
+        {"mutual_information": DimensionMismatch},
+    ),
+    "0x0": (lambda v: v[..., :0, :0], DimensionMismatch, {**_ENTRIES, **_TABLE}),
+    "2x2": (
+        lambda v: v[..., :2, :2],
+        DimensionMismatch,
+        {**_ANY_SIZE, **_TABLE, "AncillaEnsemble": NotNormalized, "Povm": FINITE,
+         "validate_povm": FINITE},
+    ),
+    "empty stack": (lambda v: np.zeros((0, *v.shape[-2:])), DimensionMismatch, _ENTRIES),
+    "stack of one": (lambda v: v[None], DimensionMismatch, _STACKS),
+    "stack of two": (lambda v: np.stack((v, 2 * v)), DimensionMismatch, _STACKS),
+    "non-Hermitian off-diagonal": (
+        _skewed,
+        NotHermitian,
+        {**_IMAGINARY_DIAGONAL, "state_from_pauli": FINITE, "accessible_info": NotNormalized},
+    ),
+    "non-Hermitian diagonal": (
+        lambda v: _set(v, v[..., 0, 0] + 0.1j, (0, 0)), NotHermitian, _IMAGINARY_DIAGONAL
+    ),
+    "non-Hermitian, a NaN": (lambda v: _set(_skewed(v), np.nan, (2, 2)), ValueError, _TABLE),
+    **{
+        f"{type(entry).__name__} entries": (
+            lambda v, entry=entry: np.full(v.shape, entry), ValueError, _TABLE
+        )
+        for entry in ("x", None, b"x")
+    },
+    # numeric text such as "(0.25+0j)" converts to a number: refused before any cast
+    "numeric text": (lambda v: v.astype(str), ValueError, _TABLE),
+    "complex, zero imaginary part": (
+        lambda v: v + 0j, FINITE, {**_TABLE, "state_from_pauli": NotHermitian}
+    ),
+    "complex": (lambda v: v + 1e-3j, NotHermitian, _IMAGINARY_DIAGONAL),
+    "doubled": (lambda v: 2 * v, FINITE, _SCALED),
+    "halved": (lambda v: v / 2, FINITE, _SCALED),
+    # ρ + 1.5·σ_z ⊗ I is Hermitian with unit trace, and 0.375 less in every
+    # (bob, z-) entry of its joint table, below zero
+    "unit trace, not positive": (
+        lambda v: v + 1.5 * np.kron(PAULI[3], PAULI[0]),
+        NotPositive,
+        {
+            **_NO_HERMITICITY, **_TABLE, "eig_hermitian": FINITE, "pauli_coefficients": FINITE,
+            "joint_table": NotNormalized, "state_from_pauli": NotHermitian,  # a complex array
+            "validate_povm support": ValueError, "accessible_info": NotNormalized,
+        },
+    ),
+    "scaled to MAX_ENTRY / 2": (lambda v: MAX_ENTRY / 2 * v, TYPED, {}),
+    "subnormal": (lambda v: 5e-324 * v, TYPED, {}),
+    "None": (lambda v: None, TYPED, {}),
+    "ragged": (lambda v: [*v.tolist()[:-1], v.tolist()[-1][:-1]], TYPED, {}),
+    "bool": (lambda v: v != 0, TYPED, {}),
+    "uint8": (lambda v: (v != 0).astype(np.uint8), TYPED, {}),
+    "float16": (lambda v: v.real.astype(np.float16), TYPED, {}),
+    "complex64": (lambda v: v.astype(np.complex64), TYPED, {}),
+    "longdouble": (lambda v: v.real.astype(np.longdouble), TYPED, {}),
+    "object": (lambda v: v.astype(object), TYPED, {}),
+    "datetime": (lambda v: np.full(v.shape, np.datetime64(0, "s")), TYPED, {}),
+    "masked": (lambda v: np.ma.masked_array(v, mask=v == v.flat[0]), TYPED, {}),
+    "np.matrix": (_matrix, TYPED, {}),
+    **{f"{k}-D": (lambda v, k=k: np.full((2,) * k, 0.25), TYPED, {}) for k in range(6)},
+    "1x1": (lambda v: v[..., :1, :1], TYPED, {}),
+    "2x3": (lambda v: v[..., :2, :3], TYPED, {}),
+}
+
+
+def _outcome(call, m):
+    """The exact type of the ValueError or warning ``call(m)`` raises, else
+    FINITE if its values are all finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = call(m)
+    except (ValueError, Warning) as e:
+        return type(e)
+    out = getattr(out, "states", getattr(out, "elements", out))
+    parts = out if isinstance(out, tuple) else () if out is None else (out,)
+    return FINITE if all(np.isfinite(x).all() for x in parts) else "not finite"
+
+
+def _allowed(got, want):
+    if want is not TYPED:
+        return got is want
+    return got in (FINITE, ValueError) or getattr(got, "__module__", None) == "bb84eve.errors"
+
+
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, *BAD_ARGUMENTS])
+def test_matrix_checks_raise_their_error_type(entry):
+    """Each kind of input gives exactly its outcome at each entry point: an
+    entry is checked before a shape, a shape before a Hermiticity defect,
+    and no call warns or returns a value that is not finite."""
+    base = "partial_trace" if entry in BAD_ARGUMENTS else entry
+    valid, call = ENTRY_POINTS[base]
+    call = BAD_ARGUMENTS.get(entry, call)
     wrong = []
-    for name, m, raises, overrides in _bad_matrices():
-        want = overrides.get(consumer, raises)
-        try:
-            MATRIX_CONSUMERS[consumer](m)
-            got = None
-        except ValueError as e:
-            got = type(e)
-        if got is not want:
-            wrong.append(f"{name}: {got} instead of {want}")
+    for kind, (make, outcome, others) in KINDS.items():
+        want = others.get(base, outcome)
+        if entry in BAD_ARGUMENTS and want is FINITE:
+            want = DimensionMismatch
+        made = make(valid)
+        for m in made if isinstance(made, types.GeneratorType) else [made]:
+            got = _outcome(call, m)
+            if not _allowed(got, want):
+                wrong.append(f"{kind}: {got} instead of {want}")
+                break
     assert not wrong, wrong

@@ -28,7 +28,6 @@ from bb84eve import (
     conjugate_povm,
     convex_combine,
     correlation_info,
-    eig_hermitian,
     eve_curve,
     general_state,
     hsw_bound,
@@ -49,11 +48,9 @@ from bb84eve import (
     validate_povm,
     von_neumann_entropy,
 )
-from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized
-from bb84eve.errors import NotPositive, OutOfRange
-from bb84eve.linalg import PAULI, require_finite, sqrt_psd
+from bb84eve.errors import InfeasiblePoint, NotHermitian, NotNormalized, NotPositive, OutOfRange
+from bb84eve.linalg import sqrt_psd
 from bb84eve.states import _FREE_NAMES, _HIDDEN, NORMALIZATION_SLACK, bell_weights
-from bb84eve.states import two_qubit_operator
 from conftest import physical_general_draws
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
@@ -313,133 +310,6 @@ def test_max_entropy_c22_feasible_and_on_closed_form(epsilon):
     assert abs(c22 + (1 - epsilon) ** 2) <= 2e-8
 
 
-NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
-
-# Each entry: a valid input made from a density, the call that must reject
-# it once one of its entries is NaN or infinite, and the error it raises.
-NON_FINITE_CALLS = {
-    "two_qubit_operator": (lambda rho: rho, two_qubit_operator, ValueError),
-    "joint_table": (lambda rho: rho, joint_table, ValueError),
-    "pauli_coefficients": (lambda rho: rho, pauli_coefficients, ValueError),
-    "state_from_pauli": (pauli_coefficients, state_from_pauli, ValueError),
-    "partial_trace": (
-        lambda rho: rho, lambda m: partial_trace(m, (2, 2), keep=0), ValueError
-    ),
-    "mutual_information": (joint_table, mutual_information, NotNormalized),
-    "AncillaEnsemble": (lambda rho: np.stack([rho] * 4), AncillaEnsemble, ValueError),
-    "Povm": (lambda rho: np.stack((rho, np.eye(4) - rho)), Povm, ValueError),
-    "validate_povm support": (
-        lambda rho: np.eye(4, dtype=complex),
-        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
-        ValueError,
-    ),
-}
-
-
-# Each entry: an input of the wrong shape made from a density, and the call
-# that must reject it with DimensionMismatch.  eig_hermitian's reversal of
-# eigh's ascending order, over a stack, would reverse the stack axis and each
-# matrix's rows, not each spectrum.
-MALFORMED_SHAPE_CALLS = {
-    "eig_hermitian stack": (lambda rho: np.stack((rho, 2 * rho)), eig_hermitian),
-    "eig_hermitian non-square": (lambda rho: rho[:3], eig_hermitian),
-    "eig_hermitian 1-D": (np.diag, eig_hermitian),
-    "eig_hermitian empty": (lambda rho: rho[:0, :0], eig_hermitian),
-    "von_neumann_entropy 1-D": (np.diag, von_neumann_entropy),
-    "von_neumann_entropy non-square": (lambda rho: rho[:3], von_neumann_entropy),
-    "mutual_information 1-D": (lambda rho: joint_table(rho).ravel(), mutual_information),
-    "mutual_information 3-D": (lambda rho: joint_table(rho)[None], mutual_information),
-    "validate_povm support": (
-        lambda rho: rho[:2, :2],
-        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
-    ),
-    **{
-        f"partial_trace dims {dims!r}": (
-            lambda rho: rho, lambda m, dims=dims: partial_trace(m, dims, keep=0)
-        )
-        for dims in ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None, np.array(5))
-    },
-    **{
-        f"partial_trace keep {keep!r}": (
-            lambda rho: rho, lambda m, keep=keep: partial_trace(m, (2, 2), keep)
-        )
-        for keep in (True, 1.0)
-    },
-    # the product of two numpy integers wraps to 0 in int64
-    "partial_trace dims overflow": (
-        lambda rho: np.zeros((0, 0)),
-        lambda m: partial_trace(m, (np.int64(2**32), np.int64(2**32)), keep=0),
-    ),
-    "Povm 0x0": (lambda rho: np.zeros((1, 0, 0)), Povm),
-    "AncillaEnsemble 0x0": (lambda rho: np.zeros((1, 0, 0)), AncillaEnsemble),
-}
-
-
-# Each entry: an input of the right shape made from a density, the call
-# that must reject its values, and the error it raises.  A Hermitian,
-# unit-trace ρ + 1.5·σ_z ⊗ I gives every (bob, z-) entry of the joint table
-# 0.375 less, below zero, while the table still sums to 1.  Numeric text
-# such as "(0.25+0j)" converts to complex, so it must be refused before any cast.
-BAD_VALUE_CALLS = {
-    "require_finite text": (
-        lambda rho: rho.astype(str), lambda m: require_finite(m, complex), ValueError
-    ),
-    "von_neumann_entropy text": (lambda rho: rho.astype(str), von_neumann_entropy, ValueError),
-    "AncillaEnsemble text": (
-        lambda rho: np.stack([rho] * 4).astype(str), AncillaEnsemble, ValueError
-    ),
-    "Povm text": (
-        lambda rho: np.stack((rho, np.eye(4) - rho)).astype(str), Povm, ValueError
-    ),
-    "validate_povm support text": (
-        lambda rho: np.eye(4).astype(str),
-        lambda support: validate_povm(Povm(np.eye(4)[None]), support),
-        ValueError,
-    ),
-    **{
-        f"{call.__name__} non-Hermitian": (
-            lambda rho: rho + np.triu(np.full((4, 4), 1e-3), 1), call, NotHermitian
-        )
-        for call in (joint_table, pauli_coefficients)
-    },
-    "joint_table trace 2": (lambda rho: 2 * rho, joint_table, NotNormalized),
-    "joint_table negative entry": (
-        lambda rho: rho + 1.5 * np.kron(PAULI[3], PAULI[0]), joint_table, NotNormalized
-    ),
-    **{
-        f"state_from_pauli {imag!r}": (
-            lambda rho, imag=imag: pauli_coefficients(rho) + imag,
-            state_from_pauli,
-            NotHermitian,
-        )
-        for imag in (0j, 1e-3j)
-    },
-    # elements I/8: every outcome probability is 1/32, and the table sums to 1/2
-    "accessible_info incomplete": (
-        lambda rho: AncillaEnsemble(np.stack([rho] * 4)),
-        lambda ensemble: accessible_info(ensemble, Povm(np.stack([np.eye(4) / 8] * 4))),
-        NotNormalized,
-    ),
-    **{
-        f"mutual_information {imag!r}": (
-            lambda rho, imag=imag: joint_table(rho) + imag,
-            mutual_information,
-            NotNormalized,
-        )
-        for imag in (0j, 1e-3j)
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_VALUE_CALLS))
-@PROPERTY
-@given(densities())
-def test_bad_value_rejected(name, rho):
-    make, call, error = BAD_VALUE_CALLS[name]
-    with pytest.raises(error):
-        call(make(rho))
-
-
 # Each entry: a named tolerance, written as a literal so that a changed
 # constant in src fails here; an input made from a density and off by t; the
 # call that checks it; and the error it raises once t exceeds the tolerance.
@@ -539,29 +409,12 @@ def test_near_optimum_window_edge(monkeypatch, offset, counted):
     assert report.near_optimum_count == counted
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CALLS))
 @PROPERTY
-@given(densities())
-def test_malformed_shape_rejected(name, rho):
-    make, call = MALFORMED_SHAPE_CALLS[name]
-    with pytest.raises(DimensionMismatch):
-        call(make(rho))
-
-
-@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
-@PROPERTY
-@given(densities(), st.integers(0, 63), NON_FINITE, st.booleans())
-def test_non_finite_entry_rejected(name, rho, index, bad, imaginary):
-    make, call, error = NON_FINITE_CALLS[name]
-    m = make(rho)
-    index %= m.size
-    m.flat[index] = complex(0, bad) if imaginary and np.iscomplexobj(m) else bad
-    with pytest.raises(error):
-        call(m)
-
-
-@PROPERTY
-@given(feasible_points(), st.sampled_from(["epsilon", "c22"]), NON_FINITE)
+@given(
+    feasible_points(),
+    st.sampled_from(["epsilon", "c22"]),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
 def test_family_point_rejects_non_finite_field(point, name, bad):
     with pytest.raises(InfeasiblePoint):
         replace(point, **{name: bad})
