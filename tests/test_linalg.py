@@ -31,6 +31,17 @@ def test_eig_singlet_projector_rank_one():
     assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
 
+def test_eig_rejects_non_hermitian():
+    m = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        eig_hermitian(m)
+
+
+def test_eig_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        eig_hermitian(np.array([[np.nan, 0], [0, 1]]))
+
+
 @pytest.mark.parametrize("dim", [2, 4, 16])
 def test_eig_reconstruction_residual(rng, dim):
     for _ in range(20):
@@ -78,6 +89,13 @@ def test_partial_trace_preserves_trace_and_is_linear(rng):
             assert abs(np.trace(ta) - np.trace(a)) < 1e-12
             assert np.allclose(tm, lam * ta + (1 - lam) * tb, atol=1e-12)
             assert np.max(np.abs(ta - ta.conj().T)) < 1e-12
+
+
+def test_partial_trace_dimension_checks():
+    with pytest.raises(DimensionMismatch):
+        partial_trace(np.eye(6), (2, 2), keep=0)
+    with pytest.raises(DimensionMismatch):
+        partial_trace(np.eye(4), (2, 2), keep=2)
 
 
 def test_entropy_pure_state():
@@ -330,7 +348,7 @@ KINDS = {
     "datetime": (lambda v: np.full(v.shape, np.datetime64(0, "s")), TYPED, {}),
     "masked": (lambda v: np.ma.masked_array(v, mask=v == v.flat[0]), TYPED, {}),
     "np.matrix": (_matrix, TYPED, {}),
-    **{f"{k}-D": (lambda v, k=k: np.full((2,) * k, 0.25), TYPED, {}) for k in range(6)},
+    **{f"{k}-D of 0.25": (lambda v, k=k: np.full((2,) * k, 0.25), TYPED, {}) for k in range(6)},
     "1x1": (lambda v: v[..., :1, :1], TYPED, {}),
     "2x3": (lambda v: v[..., :2, :3], TYPED, {}),
 }
@@ -356,23 +374,34 @@ def _allowed(got, want):
     return got in (FINITE, ValueError) or getattr(got, "__module__", None) == "bb84eve.errors"
 
 
-@pytest.mark.parametrize("entry", [*ENTRY_POINTS, *BAD_ARGUMENTS])
-def test_matrix_checks_raise_their_error_type(entry):
-    """Each kind of input gives exactly its outcome at each entry point: an
-    entry is checked before a shape, a shape before a Hermiticity defect,
-    and no call warns or returns a value that is not finite."""
+def expected(entry, kind):
+    """The outcome the matrix pins for the input ``kind`` at ``entry``."""
     base = "partial_trace" if entry in BAD_ARGUMENTS else entry
-    valid, call = ENTRY_POINTS[base]
+    _, outcome, others = KINDS[kind]
+    want = others.get(base, outcome)
+    return DimensionMismatch if entry in BAD_ARGUMENTS and want is FINITE else want
+
+
+def mismatches(entry, kinds=KINDS):
+    """Each of ``kinds`` whose outcome at ``entry`` is not the pinned one."""
+    valid, call = ENTRY_POINTS["partial_trace" if entry in BAD_ARGUMENTS else entry]
     call = BAD_ARGUMENTS.get(entry, call)
     wrong = []
-    for kind, (make, outcome, others) in KINDS.items():
-        want = others.get(base, outcome)
-        if entry in BAD_ARGUMENTS and want is FINITE:
-            want = DimensionMismatch
-        made = make(valid)
+    for kind in kinds:
+        want = expected(entry, kind)
+        made = KINDS[kind][0](valid)
         for m in made if isinstance(made, types.GeneratorType) else [made]:
             got = _outcome(call, m)
             if not _allowed(got, want):
                 wrong.append(f"{kind}: {got} instead of {want}")
                 break
+    return wrong
+
+
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, *BAD_ARGUMENTS])
+def test_matrix_checks_raise_their_error_type(entry):
+    """Each kind of input gives exactly its outcome at each entry point: an
+    entry is checked before a shape, a shape before a Hermiticity defect,
+    and no call warns or returns a value that is not finite."""
+    wrong = mismatches(entry)
     assert not wrong, wrong

@@ -48,10 +48,12 @@ from bb84eve import (
     validate_povm,
     von_neumann_entropy,
 )
-from bb84eve.errors import InfeasiblePoint, NotHermitian, NotNormalized, NotPositive, OutOfRange
+from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized
+from bb84eve.errors import NotPositive, OutOfRange
 from bb84eve.linalg import sqrt_psd
 from bb84eve.states import _FREE_NAMES, _HIDDEN, NORMALIZATION_SLACK, bell_weights
 from conftest import physical_general_draws
+from test_linalg import expected, mismatches
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -308,6 +310,95 @@ def test_max_entropy_c22_feasible_and_on_closed_form(epsilon):
     c22 = max_entropy_c22(epsilon)
     assert -1 <= c22 <= 2 * epsilon - 1
     assert abs(c22 + (1 - epsilon) ** 2) <= 2e-8
+
+
+# The named bad-input cases, each a case of the bad-input matrix in
+# test_linalg.py: its entry point, its kind of input, and the error type the
+# case raises, which the matrix pins exactly.
+NON_FINITE_KINDS = [
+    f"{value} {part} at every entry" for value in (np.nan, np.inf, -np.inf)
+    for part in ("real", "imag")
+]
+NON_FINITE_ENTRY_POINTS = {
+    **dict.fromkeys(
+        ("two_qubit_operator", "joint_table", "pauli_coefficients", "state_from_pauli",
+         "partial_trace", "AncillaEnsemble", "Povm", "validate_povm support"),
+        ValueError,
+    ),
+    "mutual_information": NotNormalized,
+}
+MALFORMED_SHAPE_CASES = {
+    "eig_hermitian stack": ("eig_hermitian", "stack of two"),
+    "eig_hermitian non-square": ("eig_hermitian", "non-square"),
+    "eig_hermitian 1-D": ("eig_hermitian", "1-D"),
+    "eig_hermitian empty": ("eig_hermitian", "0x0"),
+    "von_neumann_entropy 1-D": ("von_neumann_entropy", "1-D"),
+    "von_neumann_entropy non-square": ("von_neumann_entropy", "non-square"),
+    "mutual_information 1-D": ("mutual_information", "1-D"),
+    "mutual_information 3-D": ("mutual_information", "stack of one"),
+    "validate_povm support": ("validate_povm support", "2x2"),
+    **{
+        f"partial_trace {argument}": (f"partial_trace {argument}", "as given")
+        for argument in (
+            *(f"dims {dims!r}" for dims in
+              ((2.0, 2.0), (True, 4), (-2, -2), (4,), (1, 2, 2), 5, None, np.array(5))),
+            "keep True", "keep 1.0",
+        )
+    },
+    "partial_trace dims overflow": ("partial_trace dims overflow", "0x0"),
+    "Povm 0x0": ("Povm", "0x0"),
+    "AncillaEnsemble 0x0": ("AncillaEnsemble", "0x0"),
+}
+BAD_VALUE_CASES = {
+    **{
+        f"{entry} text": (entry, "numeric text", ValueError)
+        for entry in (
+            "require_finite", "von_neumann_entropy", "AncillaEnsemble", "Povm",
+            "validate_povm support",
+        )
+    },
+    "joint_table non-Hermitian": ("joint_table", "non-Hermitian off-diagonal", NotHermitian),
+    "pauli_coefficients non-Hermitian": (
+        "pauli_coefficients", "non-Hermitian off-diagonal", NotHermitian
+    ),
+    "joint_table trace 2": ("joint_table", "doubled", NotNormalized),
+    "joint_table negative entry": ("joint_table", "unit trace, not positive", NotNormalized),
+    **{
+        f"{entry} {imag!r}": (entry, kind, error)
+        for entry, error in (
+            ("state_from_pauli", NotHermitian), ("mutual_information", NotNormalized)
+        )
+        for imag, kind in ((0j, "complex, zero imaginary part"), (1e-3j, "complex"))
+    },
+    # elements I/8: every outcome probability is 1/32, and the table sums to 1/2
+    "accessible_info incomplete": ("accessible_info", "halved", NotNormalized),
+}
+
+
+def assert_matrix_rejects(entry, kinds, error):
+    """Each of ``kinds`` at ``entry`` raises its pinned type, an ``error``."""
+    for kind in kinds:
+        want = expected(entry, kind)
+        assert isinstance(want, type) and issubclass(want, error), (kind, want)
+    wrong = mismatches(entry, kinds)
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_entry_rejected(name):
+    assert_matrix_rejects(name, NON_FINITE_KINDS, NON_FINITE_ENTRY_POINTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CASES))
+def test_malformed_shape_rejected(name):
+    entry, kind = MALFORMED_SHAPE_CASES[name]
+    assert_matrix_rejects(entry, [kind], DimensionMismatch)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUE_CASES))
+def test_bad_value_rejected(name):
+    entry, kind, error = BAD_VALUE_CASES[name]
+    assert_matrix_rejects(entry, [kind], error)
 
 
 # Each entry: a named tolerance, written as a literal so that a changed

@@ -19,7 +19,7 @@ from bb84eve import (
     state_from_pauli,
     unbiased_noise_state,
 )
-from bb84eve.errors import InfeasiblePoint, NotPositive, OutOfRange
+from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
 from bb84eve.linalg import PAULI
 from bb84eve.states import _HIDDEN
 from conftest import family_edge, physical_general_draws, random_density, random_feasible_point
@@ -234,6 +234,14 @@ def test_conditioned_ancilla_from_state_rejects_unphysical_state():
     with pytest.raises(NotPositive) as err:
         conditioned_ancilla_from_state(rho)
     assert err.value.min_eigenvalue == pytest.approx(-0.375)
+
+
+def test_two_qubit_inputs_reject_other_shapes():
+    for func in (
+        pauli_coefficients, joint_table, conditioned_ancilla_from_state, state_from_pauli
+    ):
+        with pytest.raises(DimensionMismatch):
+            func(np.eye(2) / 2)
 
 
 def test_joint_table_matches_closed_form():
