@@ -63,14 +63,19 @@ class OptimizerConfig:
 class Povm:
     """A positive operator-valued measure: its elements as one (n, d, d) stack.
 
-    ``elements`` is a read-only copy of the input, checked by ``square_stack``,
-    so it stays finite after construction.
+    Construction checks that each element is an effect: entries that pass
+    ``square_stack`` (else ``ValueError`` or ``DimensionMismatch``),
+    Hermitian within ``HERMITICITY_TOL`` (``NotHermitian``) and positive
+    (``NotPositive``).  ``elements`` is a read-only copy of the input as
+    given, not its Hermitian part, so code that takes a ``Povm`` checks none
+    of this again.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
         elements = square_stack(self.elements).copy()
+        require_psd(np.linalg.eigvalsh(_hermitian_part(elements)))
         elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
 
@@ -83,16 +88,14 @@ class Povm:
 
 
 def validate_povm(povm: Povm, support: np.ndarray | None = None) -> None:
-    """Check Hermiticity and positivity of every element and completeness
-    on ``support``.
+    """Check completeness on ``support``; ``Povm`` itself checks that each
+    element is Hermitian and positive.
 
     ``support`` defaults to the full identity; pass the (dim, dim) projector
-    onto a subspace for measurements defined only there.  A non-Hermitian
-    element raises ``NotHermitian``, a negative one ``NotPositive``, a support
-    that ``require_finite`` refuses ``ValueError``, one of another shape
+    onto a subspace for measurements defined only there.  A support that
+    ``require_finite`` refuses raises ``ValueError``, one of another shape
     ``DimensionMismatch``, and an incomplete set ``ValueError``.
     """
-    require_psd(np.linalg.eigvalsh(_hermitian_part(povm.elements)))
     target = np.eye(povm.dim) if support is None else require_finite(support, complex)
     if target.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"support shape {target.shape} is not {povm.dim}x{povm.dim}")

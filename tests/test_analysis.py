@@ -93,7 +93,7 @@ def test_find_threshold_values():
         res = find_threshold(curve)
         error = abs(Decimal(res.epsilon_star) - exact)
         assert error <= 2 * Decimal(math.ulp(float(exact))), curve
-        assert res.converged and res.iterations <= 64, curve
+        assert res.converged and res.iterations <= 20, curve
         assert res.bracket_width in (0.0, math.ulp(res.epsilon_star)), curve
         assert res.residual <= 1e-15, curve
         assert res.qber == res.epsilon_star / 2
@@ -140,7 +140,7 @@ def test_find_threshold_is_the_bisection_of_key_rate(curve):
 @pytest.mark.parametrize("curve", CURVES)
 def test_find_threshold_checks_once_per_root(monkeypatch, curve):
     # only the bracket's two ends pass through require_in, not each ε the
-    # bisection tries
+    # root finder tries
     calls = []
 
     def counting(*args):
@@ -148,7 +148,7 @@ def test_find_threshold_checks_once_per_root(monkeypatch, curve):
         config.require_in(*args)
 
     monkeypatch.setattr(curves, "require_in", counting)
-    assert find_threshold(curve).iterations > 50
+    assert find_threshold(curve).iterations >= 5
     assert calls == ["lo", "hi"]
 
 
@@ -197,14 +197,64 @@ def test_bisect_midpoint_does_not_overflow():
     assert width <= math.ulp(1.5e308)
 
 
+def _jump_at(x0):
+    return lambda x: -1.0 if x < x0 else 1.0
+
+
 def test_bisect_reports_a_bracket_too_wide_to_collapse():
-    root, residual, iterations, converged, width = bisect_sign_change(
-        lambda x: x - 0.2, -1e300, 1e300
-    )
+    # a jump leaves the ITP steps no slope to follow, so none beats halving
+    f = _jump_at(0.2)
+    root, residual, iterations, converged, width = bisect_sign_change(f, -1e300, 1e300)
     assert not converged
     assert iterations == 64
     assert width > 1e280
-    assert residual == abs(root - 0.2)
+    assert residual == abs(f(root))
+
+
+def _plain_bisection(f, lo, hi):
+    """``bisect_sign_change``'s loop before the ITP step: plain halving, the
+    reference for its roots and its worst case."""
+    flo, fhi = f(lo), f(hi)
+    for it in range(1, curves.MAX_BISECTIONS + 1):
+        mid = 0.5 * lo + 0.5 * hi
+        if mid == lo or mid == hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, 0.0, it, True, 0.0
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    root, froot = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    return root, abs(froot), it, 0.5 * lo + 0.5 * hi in (lo, hi), hi - lo
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_threshold_equals_plain_bisection_bit_for_bit(curve):
+    *bracket, _, converged, width = _plain_bisection(
+        lambda epsilon: key_rate(epsilon, curve), 0.0, 0.5
+    )
+    result = find_threshold(curve)
+    assert (result.epsilon_star, result.residual) == tuple(bracket)
+    assert (result.converged, result.bracket_width) == (converged, width)
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.2, 1e-3, 0.7, math.nextafter(1.0, 0.0)])
+def test_itp_takes_at_most_one_step_beyond_bisection_on_a_jump(x0):
+    f = _jump_at(x0)
+    root, residual, iterations, converged, width = bisect_sign_change(f, 0.0, 1.0)
+    reference = _plain_bisection(f, 0.0, 1.0)
+    assert converged and iterations <= reference[2] + 1
+    assert (root, residual, converged, width) == tuple(reference[i] for i in (0, 1, 3, 4))
+
+
+@pytest.mark.parametrize("f", [lambda x: x - 0.2, _jump_at(0.2)], ids=["line", "jump"])
+def test_itp_bisects_a_bracket_whose_width_overflows(f):
+    # 1.7e308 - (-1.7e308) is inf: there is no ITP step to take
+    result = bisect_sign_change(f, -1.7e308, 1.7e308)
+    assert result == _plain_bisection(f, -1.7e308, 1.7e308)
+    assert result[0] == 0.0 and result[2:4] == (64, False)
 
 
 def test_max_entropy_c22_matches_closed_form():
@@ -272,6 +322,18 @@ def test_max_entropy_c22_is_the_maxent_rule_to_roundoff():
         for eps in map(float, np.concatenate(grids))
     )
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[None], [0.1 + 0j], np.array([[0.1, 0.2]]), ["0.1"], [False]],
+    ids=["none", "complex", "2-D", "text", "bool"],
+)
+def test_scan_curves_refuses_an_entry_that_is_not_a_real_number(grid):
+    # float() would raise TypeError on the first three and read the last two
+    # as 0.1 and 0
+    with pytest.raises(OutOfRange):
+        scan_curves(grid)
 
 
 def test_scan_curves_rows():

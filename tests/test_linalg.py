@@ -245,9 +245,7 @@ FINITE, TYPED = "finite", "typed"
 # too; square matrices of any size taken.
 _TABLE = {"mutual_information": NotNormalized}
 _ENTRIES = {"require_finite": FINITE}
-_NO_HERMITICITY = dict.fromkeys(
-    ("require_finite", "partial_trace", "two_qubit_operator", "Povm"), FINITE
-)
+_NO_HERMITICITY = dict.fromkeys(("require_finite", "partial_trace", "two_qubit_operator"), FINITE)
 _STACKS = {**_ENTRIES, "von_neumann_entropy": FINITE}
 _ANY_SIZE = {**_STACKS, "eig_hermitian": FINITE, "sqrt_psd": FINITE}
 _SCALED = {  # a state or measurement times 2 or 1/2, so not of unit trace or complete
@@ -257,7 +255,7 @@ _SCALED = {  # a state or measurement times 2 or 1/2, so not of unit trace or co
 }
 _IMAGINARY_DIAGONAL = {
     **_NO_HERMITICITY, **_TABLE, "state_from_pauli": NotHermitian,
-    "validate_povm support": ValueError, "accessible_info": FINITE,
+    "validate_povm support": ValueError,
 }
 
 # Each kind of input: how to make it from an entry point's valid array (one
@@ -304,7 +302,7 @@ KINDS = {
     "non-Hermitian off-diagonal": (
         _skewed,
         NotHermitian,
-        {**_IMAGINARY_DIAGONAL, "state_from_pauli": FINITE, "accessible_info": NotNormalized},
+        {**_IMAGINARY_DIAGONAL, "state_from_pauli": FINITE},
     ),
     "non-Hermitian diagonal": (
         lambda v: _set(v, v[..., 0, 0] + 0.1j, (0, 0)), NotHermitian, _IMAGINARY_DIAGONAL
@@ -332,7 +330,7 @@ KINDS = {
         {
             **_NO_HERMITICITY, **_TABLE, "eig_hermitian": FINITE, "pauli_coefficients": FINITE,
             "joint_table": NotNormalized, "state_from_pauli": NotHermitian,  # a complex array
-            "validate_povm support": ValueError, "accessible_info": NotNormalized,
+            "validate_povm support": ValueError,
         },
     ),
     "scaled to MAX_ENTRY / 2": (lambda v: MAX_ENTRY / 2 * v, TYPED, {}),

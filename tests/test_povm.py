@@ -118,6 +118,31 @@ def test_validate_povm_rejects_non_hermitian_and_non_finite():
         validate_povm(Povm((np.diag([1.1, 0.5]), np.diag([-0.1, 0.5]))))
 
 
+def _quarter_identities_with(extra):
+    elements = np.stack([np.eye(4, dtype=complex) / 4] * 4)
+    elements[:, 0, 0] += extra
+    return elements
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [np.stack([np.eye(4) / 4] * 4) + 1e-3j, _quarter_identities_with(0.1j)],
+    ids=["complex", "imaginary diagonal"],
+)
+def test_povm_refuses_elements_that_are_not_hermitian(elements):
+    # accessible_info reads the real part of each tr(S_a·E_k), so it would
+    # return a finite number for these if they were taken as a measurement
+    ensemble = conditioned_ancilla(FamilyPoint(0.3, -0.5))
+    with pytest.raises(NotHermitian):
+        accessible_info(ensemble, Povm(elements))
+
+
+def test_povm_keeps_its_elements_as_given():
+    # the check reads the Hermitian part; the stack keeps its roundoff
+    elements = _quarter_identities_with(1e-17j)
+    assert np.array_equal(Povm(elements).elements, elements)
+
+
 def test_validate_povm_rejects_incomplete_set():
     with pytest.raises(ValueError, match="sum to identity"):
         validate_povm(Povm(0.5 * np.eye(4)[None]))
