@@ -35,7 +35,6 @@ _NAMES = {
         "mutual_information",
     ),
     "linalg": (
-        "Spectrum",
         "bell_basis",
         "eig_hermitian",
         "partial_trace",

@@ -177,11 +177,11 @@ def nonsymmetric_search(epsilon: float, trials: int, seed: int) -> SearchReport:
 
     return SearchReport(
         epsilon=epsilon,
-        trials=trials,
+        trials=int(trials),
         accepted=accepted,
         best_value=float(best_value),
         best_parameters=best_parameters,
         symmetric_optimum=symmetric,
-        seed=seed,
+        seed=int(seed),
         near_optimum_count=near_optimum,
     )

@@ -252,7 +252,10 @@ def find_threshold(curve: str) -> ThresholdResult:
     on [0, 1/2] to the last float by ``bisect_sign_change``.
 
     ``curve`` is checked once; the root finder evaluates ``key_rate``'s
-    unchecked twin, since every point it tries lies in [0, 1/2].
+    unchecked twin, since every point it tries lies in [0, 1/2].  Where the
+    key rate is exactly 0 on adjacent floats (three of them for maxent), ε*
+    is whichever the root finder's steps reach first, and
+    ``test_threshold_equals_plain_bisection_bit_for_bit`` pins it.
     """
     _require_curve(curve)
     root, residual, iterations, converged, width = bisect_sign_change(

@@ -7,8 +7,6 @@ by this package are in bits (logarithms base 2).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .config import require_int
@@ -27,13 +25,6 @@ PAULI = np.array(  # σ_0 = I, σ_x, σ_y, σ_z
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
     dtype=complex,
 )
-
-
-class Spectrum(NamedTuple):
-    """Hermitian eigendecomposition, eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
 
 def require_finite(m, dtype=None) -> np.ndarray:
@@ -68,8 +59,10 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adj) / 2
 
 
-def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Eigendecompose one Hermitian matrix; any other shape raises ``DimensionMismatch``.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of one Hermitian matrix, the eigenvalues
+    descending and column i of the eigenvectors paired with eigenvalue i; any
+    other shape raises ``DimensionMismatch``.
 
     The input is symmetrized to (m + m†)/2 before solving, but only once it
     has passed the Hermiticity check; a genuinely non-Hermitian input raises
@@ -79,7 +72,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     if m.ndim != 2:
         raise DimensionMismatch(f"shape {m.shape} is not one square matrix")
     w, v = np.linalg.eigh(_hermitian_part(m))  # ascending, as LAPACK returns it
-    return Spectrum(w[::-1], v[:, ::-1])
+    return w[::-1], v[:, ::-1]
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:

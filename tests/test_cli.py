@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bb84eve import cli, config, povm, states
+from bb84eve import cli, config, povm
 from bb84eve.curves import CURVES
 from bb84eve.cli import main
+from test_properties import kept_tests
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -241,27 +242,6 @@ def test_table_infeasible_point_exits_one(capsys):
     assert "error" in err
 
 
-# an integer flag's bound and its message are config.require_int's
-SIMULATE_BOUND = f"must be an integer in [0, {config.MAX_SAMPLES}]"
-RESTARTS_BOUND = f"must be an integer in [1, {config.MAX_RESTARTS}]"
-TRIALS_BOUND = f"must be an integer in [1, {config.MAX_TRIALS}]"
-
-
-@pytest.mark.parametrize(
-    "count", ["-1", "-5", str(config.MAX_SAMPLES + 1), "100000000000000000000"]
-)
-def test_table_bad_simulate_exits_two(capsys, monkeypatch, count):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("no sample may be drawn")
-
-    monkeypatch.setattr(states, "simulate_raw_data", no_draw)
-    with pytest.raises(SystemExit) as err:
-        main(["table", "--epsilon", "0.2", "--simulate", count])
-    assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert f"argument --simulate: value={count} {SIMULATE_BOUND}" in stderr
-
-
 def test_povm_check_interior(capsys):
     code, out, _ = run_cli(capsys, "povm-check", "--epsilon", "0.3", "--c22", "-0.5")
     assert code == 0
@@ -297,16 +277,6 @@ def no_optimizer_start(monkeypatch):
     monkeypatch.setattr(povm, "_random_starts", no_start)
 
 
-def test_povm_check_bad_restarts_exit_two(capsys, monkeypatch):
-    no_optimizer_start(monkeypatch)
-    for restarts in ("0", str(config.MAX_RESTARTS + 1)):
-        with pytest.raises(SystemExit) as err:
-            main(["povm-check", "--epsilon", "0.3", "--c22", "-0.5",
-                  "--optimize", "--restarts", restarts])
-        assert err.value.code == 2
-        assert f"value={restarts} {RESTARTS_BOUND}" in capsys.readouterr().err
-
-
 def test_search_nonsym_report_and_determinism(capsys):
     args = ["search-nonsym", "--epsilon", "0.25", "--trials", "8", "--seed", "42"]
     code, out, _ = run_cli(capsys, *args)
@@ -332,10 +302,7 @@ def test_search_nonsym_one_trial(capsys):
 
 def test_search_nonsym_bad_flags_exit_two(capsys, monkeypatch):
     no_optimizer_start(monkeypatch)
-    too_many = str(config.MAX_TRIALS + 1)
     for argv, message in (
-        (["--epsilon", "0.3", "--trials", "0"], f"value=0 {TRIALS_BOUND}"),
-        (["--epsilon", "0.3", "--trials", too_many], f"value={too_many} {TRIALS_BOUND}"),
         # the search's optimizer settings are fixed
         (["--epsilon", "0.3", "--trials", "2", "--restarts", "4"],
          "unrecognized arguments: --restarts 4"),
@@ -362,19 +329,8 @@ def test_search_nonsym_epsilon_follows_the_library_rule(capsys, monkeypatch):
         assert f"epsilon={float(eps)} outside [0, 1]" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--epsilon", "0.2", "--simulate", "10"],
-    ["table", "--epsilon", "0.2"],
-    ["povm-check", "--epsilon", "0.3", "--c22", "-0.5", "--optimize"],
-    ["search-nonsym", "--epsilon", "0.25", "--trials", "2"],
-])
-def test_negative_seed_exits_two(capsys, monkeypatch, argv):
-    no_optimizer_start(monkeypatch)
-    with pytest.raises(SystemExit) as err:
-        main([*argv, "--seed", "-1"])
-    assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert "argument --seed: value=-1 must be an integer >= 0" in stderr
+# the refusal tests that test_properties.INTEGER_ARGUMENTS replaced, by their IDs
+globals().update(kept_tests(__name__))
 
 
 def test_optimizer_flag_defaults_are_the_library_defaults():

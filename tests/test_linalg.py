@@ -16,19 +16,19 @@ from conftest import random_density, random_unitary
 
 
 def test_eig_identity():
-    spec = eig_hermitian(np.eye(4, dtype=complex))
-    assert np.allclose(spec.eigenvalues, 1.0)
+    eigenvalues, _ = eig_hermitian(np.eye(4, dtype=complex))
+    assert np.allclose(eigenvalues, 1.0)
 
 
 def test_eig_diagonal_sorted_descending():
-    spec = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
-    assert np.allclose(spec.eigenvalues, [0.7, 0.3])
+    eigenvalues, _ = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
+    assert np.allclose(eigenvalues, [0.7, 0.3])
 
 
 def test_eig_singlet_projector_rank_one():
     singlet = bell_basis()[0]
-    spec = eig_hermitian(np.outer(singlet, singlet.conj()))
-    assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
+    eigenvalues, _ = eig_hermitian(np.outer(singlet, singlet.conj()))
+    assert np.allclose(eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_eig_rejects_non_hermitian():

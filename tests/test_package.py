@@ -12,7 +12,7 @@ import bb84eve
 # Every public name of ``bb84eve`` before the numeric modules became lazy.
 NAMES = (
     "AncillaEnsemble", "CURVES", "EntanglementNumbers", "FamilyPoint", "OUTCOMES",
-    "OptimizeResult", "OptimizerConfig", "Povm", "SearchReport", "Spectrum",
+    "OptimizeResult", "OptimizerConfig", "Povm", "SearchReport",
     "ThresholdResult", "accessible_info", "analysis", "analytic_povm", "bell_basis",
     "bell_diagonal_state", "bell_weights", "binary_entropy", "concurrence",
     "conditioned_ancilla", "conditioned_ancilla_from_state",
