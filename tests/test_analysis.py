@@ -23,7 +23,7 @@ from bb84eve import (
 from bb84eve import analysis, config, curves, linalg, povm, states
 from bb84eve.curves import C22_RULES, bisect_sign_change
 from bb84eve.errors import NoSignChange, NotPositive, OutOfRange
-from test_properties import kept_tests
+from test_properties import assert_integer_refused, assert_interval_refused
 
 
 def test_eve_curve_values():
@@ -31,6 +31,8 @@ def test_eve_curve_values():
     assert abs(eve_curve("minconc", 0.2) - mi_alice_bob(0.2)) <= 1e-12
     assert abs(eve_curve("maxent", 0.2138486) - mi_alice_bob(0.2138486)) <= 1e-6
     assert abs(eve_curve("minconc", 0.5) - 0.5) <= 1e-15
+    with pytest.raises(OutOfRange):
+        eve_curve("honest", 0.6)
     with pytest.raises(ValueError):
         eve_curve("nope", 0.2)
 
@@ -412,5 +414,26 @@ def test_nonsymmetric_search_batches_are_bounded_and_change_nothing(monkeypatch,
         assert len(batches) == -(-whole.accepted // (limit // 4))
 
 
-# the refusal tests that test_properties.INTEGER_ARGUMENTS replaced, by their IDs
-globals().update(kept_tests(__name__))
+# cases of test_properties' INTERVAL_ARGUMENTS and INTEGER_ARGUMENTS under
+# the names they had before those tables
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, -0.1, 1.1])
+def test_max_entropy_c22_rejects_epsilon_outside_unit_interval(epsilon):
+    assert_interval_refused("max_entropy_c22 epsilon", epsilon)
+
+
+def test_nonsymmetric_search_rejects_negative_seed():
+    assert_integer_refused("nonsymmetric_search seed", -1)
+
+
+@pytest.mark.parametrize(
+    "trials, seed", [(2.5, 1), (2.0, 1), (True, 1), (2, np.nan), (2, 1.5), (2, np.inf)]
+)
+def test_nonsymmetric_search_rejects_non_integer_trials_or_seed(trials, seed):
+    name, value = ("trials", trials) if seed == 1 else ("seed", seed)
+    assert_integer_refused(f"nonsymmetric_search {name}", value)
+
+
+def test_nonsymmetric_search_rejects_more_than_max_trials():
+    assert_integer_refused("nonsymmetric_search trials", config.MAX_TRIALS + 1)

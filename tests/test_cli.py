@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bb84eve import cli, config, povm
 from bb84eve.curves import CURVES
 from bb84eve.cli import main
-from test_properties import kept_tests
+from test_properties import assert_flag_refused
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -329,8 +329,30 @@ def test_search_nonsym_epsilon_follows_the_library_rule(capsys, monkeypatch):
         assert f"epsilon={float(eps)} outside [0, 1]" in err
 
 
-# the refusal tests that test_properties.INTEGER_ARGUMENTS replaced, by their IDs
-globals().update(kept_tests(__name__))
+# cases of test_properties' INTEGER_ARGUMENTS under the names they had before it
+
+
+@pytest.mark.parametrize(
+    "count", ["-1", "-5", str(config.MAX_SAMPLES + 1), "100000000000000000000"]
+)
+def test_table_bad_simulate_exits_two(count):
+    assert_flag_refused("table --epsilon 0.2 --simulate", 0, config.MAX_SAMPLES, count)
+
+
+def test_povm_check_bad_restarts_exit_two():
+    for restarts in ("0", str(config.MAX_RESTARTS + 1)):
+        argv = "povm-check --epsilon 0.3 --c22 -0.5 --optimize --restarts"
+        assert_flag_refused(argv, 1, config.MAX_RESTARTS, restarts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--epsilon", "0.2", "--simulate", "10"],
+    ["table", "--epsilon", "0.2"],
+    ["povm-check", "--epsilon", "0.3", "--c22", "-0.5", "--optimize"],
+    ["search-nonsym", "--epsilon", "0.25", "--trials", "2"],
+])
+def test_negative_seed_exits_two(argv):
+    assert_flag_refused(" ".join([*argv, "--seed"]), 0, None, "-1")
 
 
 def test_optimizer_flag_defaults_are_the_library_defaults():

@@ -23,7 +23,7 @@ from bb84eve import (
     state_from_pauli,
     unbiased_noise_state,
 )
-from bb84eve.errors import DimensionMismatch, NotNormalized, NotPositive
+from bb84eve.errors import DimensionMismatch, NotNormalized, NotPositive, OutOfRange
 from conftest import random_feasible_point
 
 # frozen oracle values, evaluated directly from the defining formulas
@@ -35,6 +35,8 @@ def test_correlation_info_endpoints_and_value():
     assert correlation_info(0.0) == 0.0
     assert correlation_info(1.0) == 1.0
     assert abs(correlation_info(0.8) - PHI_08) <= 1e-15
+    with pytest.raises(OutOfRange):
+        correlation_info(1.1)
 
 
 def test_correlation_info_monotone_and_convex():

@@ -21,8 +21,15 @@ from bb84eve import (
     optimize_povm,
     validate_povm,
 )
-from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotHermitian, NotNormalized
-from bb84eve.errors import NotPositive
+from bb84eve.config import MAX_RESTARTS
+from bb84eve.errors import (
+    DimensionMismatch,
+    InfeasiblePoint,
+    NotHermitian,
+    NotNormalized,
+    NotPositive,
+    OutOfRange,
+)
 from bb84eve.linalg import dyads
 from bb84eve import povm as povm_mod
 from bb84eve.povm import (
@@ -36,7 +43,7 @@ from bb84eve.povm import (
     _tangent,
 )
 from bb84eve.states import bell_weights
-from test_properties import kept_tests
+from test_properties import assert_integer_refused
 from conftest import family_edge, physical_general_draws, povms, random_feasible_point
 
 # frozen: 0.5 * correlation_info(sqrt(0.96))
@@ -287,6 +294,8 @@ def test_convex_combine_weights_and_degeneracy():
         mixed = convex_combine(m, mc, w)
         validate_povm(mixed)
         assert abs(accessible_info(ens, mixed) - base) <= 1e-10
+    with pytest.raises(OutOfRange):
+        convex_combine(m, mc, 1.5)
     with pytest.raises(DimensionMismatch):
         convex_combine(m, Povm(mc.elements[:2]), 0.5)
 
@@ -407,8 +416,28 @@ def test_optimizer_spends_at_most_max_iterations_and_returns_best_restart():
     assert len(res.povm.elements) == 16  # d² outcomes for d = 4
 
 
-# the refusal tests that test_properties.INTEGER_ARGUMENTS replaced, by their IDs
-globals().update(kept_tests(__name__))
+# cases of test_properties' INTEGER_ARGUMENTS under the names they had before it
+
+
+def test_optimizer_config_validation():
+    for bad in (0, MAX_RESTARTS + 1, 10_000_000):
+        assert_integer_refused("OptimizerConfig restarts", bad)
+    for bad in (0, -5):
+        assert_integer_refused("OptimizerConfig max_iterations", bad)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("restarts", v) for v in (0, MAX_RESTARTS + 1, 2.5, True, "8")]
+    + [("max_iterations", v) for v in (0, np.inf, 10.0)]
+    + [("seed", v) for v in (-1, np.nan, 1.5)],
+)
+def test_optimizer_config_checks_its_own_fields(field, bad):
+    assert_integer_refused(f"OptimizerConfig {field}", bad)
+
+
+def test_optimizer_rejects_negative_seed():
+    assert_integer_refused("OptimizerConfig seed", -1)
 
 
 BATCH_ENSEMBLES = {

@@ -46,7 +46,6 @@ from bb84eve import (
     mutual_information,
     nonsymmetric_search,
     optimal_c22,
-    optimize_povm,
     partial_trace,
     pauli_coefficients,
     purification,
@@ -574,13 +573,13 @@ def test_interval_arguments_take_bounds_and_reject_the_rest(name, data):
             pass
 
 
-_ENSEMBLE = conditioned_ancilla(FamilyPoint(0.3, -0.5))
 _OPTIMIZE = "povm-check --epsilon 0.3 --c22 -0.5 --optimize"
 
 # Every integer argument checked by config.require_int, but partial_trace's,
 # which test_linalg.py's bad-input matrix holds: its bounds (hi None for none),
 # a call that passes it, and, where a CLI flag carries it, the argv up to the
-# flag's value and the flag's lower bound (--simulate 0 draws no sample).
+# flag's value and the flag's lower bound (--simulate 0 draws no sample, and
+# --seed is checked even then).
 INTEGER_ARGUMENTS = {
     "nonsymmetric_search trials": (
         1, config.MAX_TRIALS, lambda v: nonsymmetric_search(0.25, v, 0),
@@ -596,18 +595,17 @@ INTEGER_ARGUMENTS = {
     ),
     "simulate_raw_data seed": (
         0, None, lambda v: simulate_raw_data(FamilyPoint(0.2, -0.6), 1, v),
-        ("table --epsilon 0.2 --simulate 1 --seed", 0),
+        ("table --epsilon 0.2 --seed", 0),
     ),
     "OptimizerConfig restarts": (  # the whole batch is held in memory
-        1, config.MAX_RESTARTS, lambda v: optimize_povm(_ENSEMBLE, OptimizerConfig(restarts=v)),
+        1, config.MAX_RESTARTS, lambda v: OptimizerConfig(restarts=v),
         (f"{_OPTIMIZE} --restarts", 1),
     ),
     "OptimizerConfig max_iterations": (  # 0 would return the unoptimized start
-        1, None, lambda v: optimize_povm(_ENSEMBLE, OptimizerConfig(max_iterations=v)), None
+        1, None, lambda v: OptimizerConfig(max_iterations=v), None
     ),
     "OptimizerConfig seed": (
-        0, None, lambda v: optimize_povm(_ENSEMBLE, OptimizerConfig(seed=v)),
-        (f"{_OPTIMIZE} --seed", 0),
+        0, None, lambda v: OptimizerConfig(seed=v), (f"{_OPTIMIZE} --seed", 0)
     ),
 }
 # No integers: bools, floats (integral ones too), text, None, an integral
@@ -620,6 +618,12 @@ _NOT_INTEGERS = (
 
 def _bound(lo, hi):
     return f"must be an integer >= {lo}" if hi is None else f"must be an integer in [{lo}, {hi}]"
+
+
+def assert_interval_refused(name, value):
+    """``INTERVAL_ARGUMENTS[name]`` raises ``OutOfRange`` for ``value``."""
+    with pytest.raises(OutOfRange):
+        INTERVAL_ARGUMENTS[name][0](value)
 
 
 def assert_integer_refused(name, value):
@@ -640,11 +644,11 @@ def assert_integer_refused(name, value):
             call(value)
 
 
-def assert_flag_refused(name, text):
-    """The flag of ``INTEGER_ARGUMENTS[name]`` exits 2 on ``text``, with nothing
-    on stdout and no ``cmd_*`` started; stderr gives require_int's bound, or
-    argparse's complaint about text that is no integer."""
-    _, hi, _, (argv, lo) = INTEGER_ARGUMENTS[name]
+def assert_flag_refused(argv, lo, hi, text):
+    """``cli.main`` on ``argv`` and ``text``, the value of the integer flag
+    that ends ``argv``, exits 2 with nothing on stdout and no ``cmd_*``
+    started; stderr gives require_int's bound, or argparse's complaint about
+    text that is no integer."""
     try:
         message = f"value={int(text)} {_bound(lo, hi)}"
     except ValueError:
@@ -668,13 +672,12 @@ def test_integer_argument_takes_its_bounds_and_refuses_the_rest(monkeypatch, nam
     lo, hi, call, _ = INTEGER_ARGUMENTS[name]
     for value in ((lo - 1,) if hi is None else (lo - 1, hi + 1, 10**30)) + _NOT_INTEGERS:
         assert_integer_refused(name, value)
-    # no search draws and no ascent, so that MAX_TRIALS and MAX_RESTARTS cost nothing
+    # no search draws, so that MAX_TRIALS costs nothing
     monkeypatch.setattr(analysis, "_accepted_draws", lambda *args: iter(()))
-    monkeypatch.setattr(povm, "_conjugate_gradient", lambda k, *_: (k, *np.zeros((3, len(k)))))
     top = lo if hi is None else hi
     for value in (lo, top, np.int64(top), np.uint8(lo)):
         result, argument = call(value), name.split()[-1]
-        if hasattr(result, argument):  # a report echoes it, as an int that json takes
+        if isinstance(result, analysis.SearchReport):  # echoed as an int that json takes
             assert type(getattr(result, argument)) is int and getattr(result, argument) == value
 
 
@@ -682,7 +685,7 @@ def test_integer_argument_takes_its_bounds_and_refuses_the_rest(monkeypatch, nam
 def test_integer_flag_takes_its_bounds_and_exits_two_on_the_rest(name):
     _, hi, _, (argv, lo) = INTEGER_ARGUMENTS[name]
     for text in (str(lo - 1), *([] if hi is None else [str(hi + 1)]), "1.5", "nan", "abc", ""):
-        assert_flag_refused(name, text)
+        assert_flag_refused(argv, lo, hi, text)
     for bound in (lo,) if hi is None else (lo, hi):
         args = cli.build_parser().parse_args([*argv.split(), str(bound)])
         value = vars(args)[argv.split()[-1][2:]]
@@ -715,92 +718,3 @@ def test_every_integer_check_has_a_row():
                 missing.append(flag)
     assert not missing, "\n".join(missing)
 
-
-def assert_interval_refused(name, value):
-    with pytest.raises(OutOfRange):
-        INTERVAL_ARGUMENTS[name][0](value)
-
-
-_INTERVAL, _INTEGER, _FLAG = assert_interval_refused, assert_integer_refused, assert_flag_refused
-
-# The refusal tests that these tables replaced, kept under their old IDs so that
-# the suite's test IDs carry over: each runs the (check, row, value) cases it
-# ran, its own values included; a dict holds a parametrized test's cases by ID.
-KEPT_TESTS = {
-    "test_analysis::test_max_entropy_c22_rejects_epsilon_outside_unit_interval": {
-        f"{v}": [(_INTERVAL, "max_entropy_c22 epsilon", v)] for v in (-0.1, 1.1, math.nan)
-    },
-    "test_analysis::test_nonsymmetric_search_rejects_negative_seed": [
-        (_INTEGER, "nonsymmetric_search seed", -1)
-    ],
-    "test_analysis::test_nonsymmetric_search_rejects_non_integer_trials_or_seed": {
-        **{f"{v}-1": [(_INTEGER, "nonsymmetric_search trials", v)] for v in (2.5, 2.0, True)},
-        **{f"2-{v}": [(_INTEGER, "nonsymmetric_search seed", v)] for v in (math.nan, 1.5, math.inf)},
-    },
-    "test_analysis::test_nonsymmetric_search_rejects_more_than_max_trials": [
-        (_INTEGER, "nonsymmetric_search trials", config.MAX_TRIALS + 1)
-    ],
-    "test_states::test_simulate_raw_data_rejects_negative_seed": [
-        (_INTEGER, "simulate_raw_data seed", -1)
-    ],
-    "test_states::test_simulate_raw_data_rejects_non_integer_count_or_seed": {
-        **{f"{v}-3": [(_INTEGER, "simulate_raw_data n", v)] for v in (2.5, 1000.0, True)},
-        **{f"10-{v}": [(_INTEGER, "simulate_raw_data seed", v)] for v in (math.nan, 1.5, False)},
-    },
-    "test_states::test_simulate_raw_data_rejects_count_beyond_int64": [
-        (_INTEGER, "simulate_raw_data n", v) for v in (2**63, 10**20)
-    ],
-    "test_povm::test_optimizer_config_validation": [
-        *((_INTEGER, "OptimizerConfig restarts", v) for v in (0, config.MAX_RESTARTS + 1, 10**7)),
-        *((_INTEGER, "OptimizerConfig max_iterations", v) for v in (0, -5)),
-    ],
-    "test_povm::test_optimizer_config_checks_its_own_fields": {
-        f"{field}-{v}": [(_INTEGER, f"OptimizerConfig {field}", v)]
-        for field, values in (
-            ("restarts", (0, config.MAX_RESTARTS + 1, 2.5, True, "8")),
-            ("max_iterations", (0, math.inf, 10.0)),
-            ("seed", (-1, math.nan, 1.5)),
-        )
-        for v in values
-    },
-    "test_povm::test_optimizer_rejects_negative_seed": [(_INTEGER, "OptimizerConfig seed", -1)],
-    "test_cli::test_table_bad_simulate_exits_two": {
-        text: [(_FLAG, "simulate_raw_data n", text)]
-        for text in ("-1", "-5", str(config.MAX_SAMPLES + 1), str(10**20))
-    },
-    "test_cli::test_povm_check_bad_restarts_exit_two": [
-        (_FLAG, "OptimizerConfig restarts", text) for text in ("0", str(config.MAX_RESTARTS + 1))
-    ],
-    "test_cli::test_negative_seed_exits_two": {  # argv1 was table's --seed without --simulate
-        f"argv{i}": [(_FLAG, f"{row} seed", "-1")]
-        for i, row in enumerate(
-            ("simulate_raw_data", "simulate_raw_data", "OptimizerConfig", "nonsymmetric_search")
-        )
-    },
-}
-
-
-def _run(cases):
-    for check, name, value in cases:
-        check(name, value)
-
-
-def _kept_test(cases):
-    """A test that runs ``cases``; for a dict of them, one test per ID."""
-    if not isinstance(cases, dict):
-        return lambda: _run(cases)
-
-    @pytest.mark.parametrize("cases", list(cases.values()), ids=list(cases))
-    def test(cases):
-        _run(cases)
-
-    return test
-
-
-def kept_tests(module):
-    """The ``KEPT_TESTS`` of test module ``module``, as test functions by name."""
-    return {
-        key.partition("::")[2]: _kept_test(cases)
-        for key, cases in KEPT_TESTS.items()
-        if key.startswith(f"{module}::")
-    }

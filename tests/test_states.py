@@ -22,7 +22,7 @@ from bb84eve import (
 from bb84eve.errors import DimensionMismatch, InfeasiblePoint, NotPositive, OutOfRange
 from bb84eve.linalg import PAULI
 from bb84eve.states import _HIDDEN
-from test_properties import kept_tests
+from test_properties import assert_integer_refused
 from conftest import family_edge, physical_general_draws, random_density, random_feasible_point
 
 
@@ -46,6 +46,8 @@ def test_unbiased_noise_state_limits():
         unbiased_noise_state(0.0), np.outer(singlet, singlet.conj()), atol=1e-15
     )
     assert np.allclose(unbiased_noise_state(1.0), np.eye(4) / 4, atol=1e-15)
+    with pytest.raises(OutOfRange):
+        unbiased_noise_state(1.2)
 
 
 def test_unbiased_noise_state_spectrum_and_coefficients():
@@ -138,6 +140,8 @@ def test_general_state_positivity_check():
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     with pytest.raises(NotPositive):
         general_state(0.2, c22=0.0)
+    with pytest.raises(OutOfRange):
+        general_state(0.2, c12=1.5)
 
 
 def test_pauli_round_trip(rng):
@@ -272,8 +276,24 @@ def test_simulate_raw_data_single_sample():
     assert table.sum() == 1.0
 
 
-# the refusal tests that test_properties.INTEGER_ARGUMENTS replaced, by their IDs
-globals().update(kept_tests(__name__))
+# cases of test_properties' INTEGER_ARGUMENTS under the names they had before it
+
+
+def test_simulate_raw_data_rejects_negative_seed():
+    assert_integer_refused("simulate_raw_data seed", -1)
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(2.5, 3), (1000.0, 3), (True, 3), (10, np.nan), (10, 1.5), (10, False)]
+)
+def test_simulate_raw_data_rejects_non_integer_count_or_seed(n, seed):
+    name, value = ("n", n) if seed == 3 else ("seed", seed)
+    assert_integer_refused(f"simulate_raw_data {name}", value)
+
+
+def test_simulate_raw_data_rejects_count_beyond_int64():
+    for n in (2**63, 10**20):
+        assert_integer_refused("simulate_raw_data n", n)
 
 
 def test_simulate_raw_data_within_four_sigma():
