@@ -1,12 +1,13 @@
 import errno
+import functools
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 from bb84eve import cli, config, povm
 from bb84eve.curves import CURVES
 from bb84eve.cli import main
+from goldens import GOLDEN, GOLDENS, NUMBER, OPTIMIZER, compare, value_lines
 from test_properties import assert_flag_refused
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -52,91 +52,61 @@ def test_thresholds_tol_is_not_a_flag(capsys):
         assert "unrecognized arguments: --tol" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["thresholds", "--all"], "thresholds_all.json"),
-        (["scan", "--start", "0", "--stop", "0.5", "--step", "0.005"],
-         "scan_0_0.5_0.005.csv"),
-        (["table", "--epsilon", "0.2"], "table_0.2.json"),
-    ],
-)
-def test_closed_form_output_matches_golden_bytes(capsys, argv, golden):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
+@functools.cache
+def golden_output(name):
+    """What the CLI prints for golden row ``name``, run in process once."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(GOLDENS[name][0].split()) == 0
+    return stdout.getvalue()
 
 
-# povm-check rows that hold only roundoff; their digits may differ across
-# BLAS builds, so each is bounded instead of compared.
-ROUNDOFF_CHECKS = (
-    "completeness_residual", "formula_gap", "conjugate_gap", "equal_weight_gap",
-    "equal_weight_max_imag",
-)
+@pytest.mark.parametrize("name", GOLDENS)
+def test_cli_output_matches_golden(name):
+    differences, _ = compare(name, golden_output(name))
+    assert differences == []
 
 
-# povm-check --optimize rows that hold optimizer floats, bounded against the
-# golden value as in the search-nonsym golden.
-OPTIMIZER_CHECKS = ("optimizer_best", "optimizer_gap")
+def test_golden_table_has_a_row_per_golden_file_and_each_key_once():
+    assert sorted(GOLDENS) == sorted(path.name for path in GOLDEN.iterdir())
+    for name, (_, rules) in GOLDENS.items():
+        lines = (GOLDEN / name).read_text().splitlines()
+        for key in rules:
+            found = value_lines(lines, key)
+            assert len(found) == 1 and NUMBER.search(lines[found[0]]), (name, key, found)
 
 
-def _assert_povm_check_matches_golden(capsys, golden, *flags):
-    """The povm-check output at ε = 0.3, c22 = -0.4 equals ``golden`` byte for
-    byte, bar the value lines of ROUNDOFF_CHECKS (each in [0, 1e-12]) and of
-    OPTIMIZER_CHECKS (each within 1e-9 of the golden value)."""
-    code, out, _ = run_cli(
-        capsys, "povm-check", "--epsilon", "0.3", "--c22", "-0.4", *flags
-    )
-    assert code == 0
-    got = out.splitlines(keepends=True)
-    want = (GOLDEN / golden).read_text().splitlines(keepends=True)
-    assert len(got) == len(want)
-    roundoff = {f'"check": "{name}",' for name in ROUNDOFF_CHECKS}
-    optimizer = {f'"check": "{name}",' for name in OPTIMIZER_CHECKS}
-    bounded = 0
-    for before, line, golden_line in zip(["", *got], got, want):
-        if before.strip() in roundoff | optimizer:  # the row's "value" line
-            key, value = line.split(":")
-            golden_key, golden_value = golden_line.split(":")
-            assert key == golden_key
-            if before.strip() in roundoff:
-                assert 0 <= float(value) <= 1e-12, line
-            else:
-                assert abs(float(value) - float(golden_value)) <= 1e-9, line
-            bounded += 1
-        else:
-            assert line == golden_line
-    return bounded
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_rule_reports_every_doctored_output(name):
+    """Any line dropped, a changed digit on any unbounded line, a renamed
+    bounded key and a bounded value outside its rule are each reported; a
+    bounded value inside its rule is not."""
+    lines = golden_output(name).splitlines(keepends=True)
+    want = (GOLDEN / name).read_text().splitlines(keepends=True)
+    rules = GOLDENS[name][1]
+    bounded = {i: key for key in rules for i in value_lines(want, key)}
 
+    def with_line(i, line):
+        return "".join([*lines[:i], line, *lines[i + 1:]])
 
-def test_povm_check_matches_golden_bytes_but_roundoff(capsys):
-    bounded = _assert_povm_check_matches_golden(capsys, "povm_check_0.3_-0.4.json")
-    assert bounded == len(ROUNDOFF_CHECKS)
-
-
-def test_povm_check_optimize_matches_golden_but_roundoff_and_optimizer(capsys):
-    bounded = _assert_povm_check_matches_golden(
-        capsys, "povm_check_0.3_-0.4_optimize_20_1.json",
-        "--optimize", "--restarts", "20", "--seed", "1",
-    )
-    assert bounded == len(ROUNDOFF_CHECKS) + len(OPTIMIZER_CHECKS)
-
-
-def test_search_nonsym_matches_golden(capsys):
-    code, out, _ = run_cli(
-        capsys, "search-nonsym", "--epsilon", "0.25", "--trials", "20", "--seed", "42"
-    )
-    assert code == 0
-    got = json.loads(out)
-    want = json.loads((GOLDEN / "search_nonsym_0.25_20_42.json").read_text())
-    (row,), (golden_row,) = got["rows"], want["rows"]
-    # Optimizer floats: bounded, not compared.  A tighter bound waits for
-    # evidence of the precision that every CI platform reproduces.
-    for key in ("best_value", "exceeds_symmetric_by"):
-        assert abs(row.pop(key) - golden_row.pop(key)) <= 1e-9, key
-    # trials, accepted, seed, near_optimum_count, best_parameters,
-    # symmetric_optimum, provenance and the rest, exactly
-    assert got == want
+    cases = {}  # case: (doctored output, whether it must be reported)
+    for i, line in enumerate(lines):
+        cases[f"line {i + 1} dropped"] = with_line(i, ""), True
+        changed = re.sub(r"\d(?=\D*$)", lambda d: str((int(d[0]) + 1) % 10), line)  # last digit
+        if i not in bounded and changed != line:
+            cases[f"line {i + 1} digit"] = with_line(i, changed), True
+    for i, key in bounded.items():
+        cases[f"{key} renamed"] = "".join(lines).replace(f'"{key}"', f'"{key}_"'), True
+        golden = float(NUMBER.search(want[i])[0])
+        values = (
+            {golden + 2e-9: True, golden - 2e-9: True, golden + 5e-10: False, golden - 5e-10: False}
+            if rules[key] == OPTIMIZER
+            else {2e-12: True, -1e-13: True, 1e-12: False, 0.0: False}
+        )
+        for value, bad in values.items():
+            cases[f"{key} = {value!r}"] = with_line(i, NUMBER.sub(repr(value), want[i])), bad
+    for case, (output, bad) in cases.items():
+        assert bool(compare(name, output)[0]) == bad, case
 
 
 def test_emit_json_refuses_nan(capsys):
@@ -559,11 +529,7 @@ def test_help_exits_zero():
 
 @pytest.mark.parametrize(
     "argv, golden",
-    [
-        (["thresholds", "--all"], "thresholds_all.json"),
-        (["scan", "--start", "0", "--stop", "0.5", "--step", "0.005"],
-         "scan_0_0.5_0.005.csv"),
-    ],
+    [(GOLDENS[name][0].split(), name) for name in ("thresholds_all.json", "scan_0_0.5_0.005.csv")],
 )
 def test_closed_form_commands_never_import_numpy(argv, golden):
     """The headline commands start without numpy, and without dataclasses
@@ -574,7 +540,7 @@ def test_closed_form_commands_never_import_numpy(argv, golden):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / golden).read_text()
+    assert compare(golden, proc.stdout)[0] == []
     imported = {
         line.rsplit("|", 1)[-1].strip()
         for line in proc.stderr.splitlines()
